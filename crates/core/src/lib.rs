@@ -89,4 +89,4 @@ pub use soft::SoftCriterion;
 #[allow(deprecated)]
 pub use sparse_problem::SparseProblem;
 pub use traits::TransductiveModel;
-pub use weights::Weights;
+pub use weights::{RowEntries, Weights};

@@ -4,6 +4,7 @@
 use crate::error::{Error, Result};
 use crate::weights::Weights;
 use gssl_graph::{affinity::affinity_matrix, Kernel};
+use gssl_linalg::float::is_exactly_zero;
 use gssl_linalg::{strict, BlockPartition, CsrMatrix, Matrix, Vector};
 
 /// A graph-based semi-supervised learning problem: a symmetric similarity
@@ -229,40 +230,60 @@ impl Problem {
     /// The hard-criterion system `D₂₂ − W₂₂` in CSR form — the input the
     /// iterative sparse backend factors without densifying anything.
     ///
+    /// Rows are emitted in order straight into the CSR arrays: the
+    /// off-diagonal `−w_ij` in the weights' column order, the diagonal
+    /// `d_i − w_ii` at its sorted slot, exact zeros dropped — the arrays
+    /// the triplet route produced, without the triplets.
+    ///
     /// # Errors
     ///
     /// Propagates coordinate errors (none for a constructed problem).
     /// shape: (m, m)
+    /// hot
+    /// complexity: O(nnz)
+    /// deterministic
     pub fn unlabeled_system_csr(&self) -> Result<CsrMatrix> {
         let n = self.n_labeled();
         let m = self.n_unlabeled();
         let degrees = self.degrees();
-        // Upper bound: every stored edge of the unlabeled rows plus the
-        // m explicit diagonal entries.
-        let mut triplets = Vec::with_capacity(self.weights.nnz() + m);
+        // Upper bound: every stored edge plus the m explicit diagonal
+        // entries.
+        let mut system = RowBuilder::with_capacity(m, self.weights.nnz() + m);
         for a in 0..m {
             let i = n + a;
             let mut diag = degrees[i];
+            let mut diag_pending = true;
             for (j, v) in self.weights.row_entries(i) {
                 if j == i {
                     diag -= v;
                 } else if j >= n {
-                    triplets.push((a, j - n, -v));
+                    if diag_pending && j > i {
+                        system.push(a, diag);
+                        diag_pending = false;
+                    }
+                    system.push(j - n, -v);
                 }
             }
-            triplets.push((a, a, diag));
+            if diag_pending {
+                system.push(a, diag);
+            }
+            system.end_row();
         }
-        Ok(CsrMatrix::from_triplets(m, m, &triplets)?)
+        Ok(system.finish(m)?)
     }
 
     /// The soft-criterion full system `V + λL` (Eq. 3) in CSR form, where
-    /// `V = diag(1 labeled, 0 unlabeled)` and `L = D − W`.
+    /// `V = diag(1 labeled, 0 unlabeled)` and `L = D − W`. Rows are
+    /// emitted directly, as in [`Problem::unlabeled_system_csr`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] when `lambda` is negative or
     /// not finite.
     /// shape: (total, total)
+    /// hot
+    /// complexity: O(nnz)
+    /// deterministic
     pub fn soft_system_csr(&self, lambda: f64) -> Result<CsrMatrix> {
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(Error::InvalidParameter {
@@ -272,19 +293,27 @@ impl Problem {
         let n = self.n_labeled();
         let total = self.len();
         let degrees = self.degrees();
-        let mut triplets = Vec::with_capacity(self.weights.nnz() + total);
+        let mut system = RowBuilder::with_capacity(total, self.weights.nnz() + total);
         for i in 0..total {
             let mut diag = lambda * degrees[i] + if i < n { 1.0 } else { 0.0 };
+            let mut diag_pending = true;
             for (j, v) in self.weights.row_entries(i) {
                 if j == i {
                     diag -= lambda * v;
                 } else {
-                    triplets.push((i, j, -lambda * v));
+                    if diag_pending && j > i {
+                        system.push(i, diag);
+                        diag_pending = false;
+                    }
+                    system.push(j, -lambda * v);
                 }
             }
-            triplets.push((i, i, diag));
+            if diag_pending {
+                system.push(i, diag);
+            }
+            system.end_row();
         }
-        Ok(CsrMatrix::from_triplets(total, total, &triplets)?)
+        Ok(system.finish(total)?)
     }
 
     /// The hard-criterion right-hand side `W₂₁ Y_n`.
@@ -340,6 +369,46 @@ impl Problem {
                 unlabeled_index: index,
             }),
         }
+    }
+}
+
+/// CSR arrays of a square system written one row at a time, columns in
+/// ascending order. Exact zeros are dropped as they arrive — the rule
+/// `CsrMatrix::from_triplets` applies to duplicate-free rows.
+struct RowBuilder {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl RowBuilder {
+    fn with_capacity(rows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        RowBuilder {
+            indptr,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Appends `value` at column `col` of the current row unless it is an
+    /// exact zero.
+    fn push(&mut self, col: usize, value: f64) {
+        if !is_exactly_zero(value) {
+            self.indices.push(col);
+            self.values.push(value);
+        }
+    }
+
+    /// Closes the current row.
+    fn end_row(&mut self) {
+        self.indptr.push(self.indices.len());
+    }
+
+    /// Validates the arrays as a `dim × dim` matrix.
+    fn finish(self, dim: usize) -> gssl_linalg::Result<CsrMatrix> {
+        CsrMatrix::from_sorted_rows(dim, dim, self.indptr, self.indices, self.values)
     }
 }
 

@@ -24,6 +24,37 @@ pub enum Weights {
     Sparse(CsrMatrix),
 }
 
+/// Iterator over one row's structurally nonzero `(col, value)` pairs,
+/// returned by [`Weights::row_entries`]. An enum over the two storage
+/// representations rather than a boxed trait object, so walking every row
+/// of a graph allocates nothing.
+#[derive(Debug, Clone)]
+pub enum RowEntries<'a> {
+    /// A dense row; entries with `|v| > 0` false (exact zeros, NaN) are
+    /// skipped.
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, f64>>),
+    /// A CSR row's stored entries.
+    Sparse(gssl_linalg::CsrRowIter<'a>),
+}
+
+impl Iterator for RowEntries<'_> {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        match self {
+            RowEntries::Dense(row) => {
+                for (j, &v) in row {
+                    if v.abs() > 0.0 {
+                        return Some((j, v));
+                    }
+                }
+                None
+            }
+            RowEntries::Sparse(row) => row.next(),
+        }
+    }
+}
+
 impl From<Matrix> for Weights {
     fn from(w: Matrix) -> Self {
         Weights::Dense(w)
@@ -160,22 +191,17 @@ impl Weights {
     }
 
     /// Iterates the structurally nonzero `(col, value)` pairs of row `i`
-    /// (dense rows skip exact zeros so both representations agree).
+    /// in ascending column order (dense rows skip exact zeros so both
+    /// representations agree). Allocation-free: see [`RowEntries`].
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of bounds, matching the underlying matrix
     /// types.
-    pub fn row_entries(&self, i: usize) -> Box<dyn Iterator<Item = (usize, f64)> + '_> {
+    pub fn row_entries(&self, i: usize) -> RowEntries<'_> {
         match self {
-            Weights::Dense(w) => Box::new(
-                w.row(i)
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, v)| v.abs() > 0.0),
-            ),
-            Weights::Sparse(w) => Box::new(w.row_iter(i)),
+            Weights::Dense(w) => RowEntries::Dense(w.row(i).iter().enumerate()),
+            Weights::Sparse(w) => RowEntries::Sparse(w.row_iter(i)),
         }
     }
 

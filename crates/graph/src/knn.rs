@@ -125,8 +125,8 @@ fn symmetrize_knn(
     // stored index is a valid list position.
     debug_assert!(neighbors.iter().flatten().all(|nb| nb.index < n));
     let lists_mention = |j: usize, i: usize| neighbors[j].iter().any(|nb| nb.index == i);
-    // Every directed edge yields at most one symmetric pair.
-    let mut triplets = Vec::with_capacity(2 * neighbors.iter().map(Vec::len).sum::<usize>());
+    // Every directed edge yields at most one undirected edge.
+    let mut edges = Vec::with_capacity(neighbors.iter().map(Vec::len).sum::<usize>());
     for (i, nbrs) in neighbors.iter().enumerate() {
         for nb in nbrs {
             let j = nb.index;
@@ -141,13 +141,70 @@ fn symmetrize_knn(
             if emit {
                 let w = kernel.weight(nb.dist2, bandwidth)?;
                 if w > 0.0 {
-                    triplets.push((i, j, w));
-                    triplets.push((j, i, w));
+                    edges.push((i, j, w));
                 }
             }
         }
     }
-    Ok(CsrMatrix::from_triplets(n, n, &triplets)?)
+    symmetric_csr(n, &edges)
+}
+
+/// Assembles the symmetric `n × n` CSR graph holding `w` at `(i, j)` and
+/// `(j, i)` for every undirected edge `(i, j, w)`, each pair listed once
+/// with `i != j`: count the row degrees, take a prefix sum, scatter both
+/// orientations into exact-capacity buffers, then sort each short row by
+/// column. The arrays equal those of `CsrMatrix::from_triplets` on the two
+/// triplets per edge — no coordinate repeats and no weight is zero, so
+/// nothing merges or drops.
+/// complexity: O(nnz)
+fn symmetric_csr(n: usize, edges: &[(usize, usize, f64)]) -> Result<CsrMatrix> {
+    let mut indptr = vec![0usize; n + 1];
+    for &(i, j, _) in edges {
+        indptr[i + 1] += 1;
+        indptr[j + 1] += 1;
+    }
+    let mut total = 0usize;
+    for count in &mut indptr {
+        total += *count;
+        *count = total;
+    }
+    let mut indices = vec![0usize; total];
+    let mut values = vec![0.0; total];
+    let mut next = indptr.clone();
+    let mut place = |row: usize, col: usize, w: f64| {
+        let slot = &mut next[row];
+        indices[*slot] = col;
+        values[*slot] = w;
+        *slot += 1;
+    };
+    for &(i, j, w) in edges {
+        place(i, j, w);
+        place(j, i, w);
+    }
+    let mut scratch = Vec::new();
+    for bounds in indptr.windows(2) {
+        let (lo, hi) = (bounds[0], bounds[1]);
+        sort_row(&mut indices[lo..hi], &mut values[lo..hi], &mut scratch);
+    }
+    Ok(CsrMatrix::from_sorted_rows(n, n, indptr, indices, values)?)
+}
+
+/// Sorts one CSR row's parallel column/value slices by column through the
+/// reused `scratch` buffer; a row already in order is left untouched.
+/// Columns within a row are distinct, so the unstable sort is
+/// deterministic.
+/// complexity: O(len)
+fn sort_row(cols: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usize, f64)>) {
+    if cols.is_sorted() {
+        return;
+    }
+    scratch.clear();
+    scratch.extend(cols.iter().copied().zip(vals.iter().copied()));
+    scratch.sort_unstable_by_key(|&(c, _)| c);
+    for ((col, val), &(c, w)) in cols.iter_mut().zip(vals.iter_mut()).zip(&*scratch) {
+        *col = c;
+        *val = w;
+    }
 }
 
 /// Builds an ε-neighbourhood affinity graph: vertices within Euclidean
@@ -234,21 +291,19 @@ pub fn epsilon_graph_with(
     let index = SpatialIndex::build(points)?;
     let balls = gssl_index::self_within_radius_batch(&index, epsilon, executor)?;
     // Each undirected pair appears in both endpoint balls and is emitted
-    // once as two triplets, so the ball populations bound the total.
-    let mut triplets = Vec::with_capacity(balls.iter().map(Vec::len).sum::<usize>());
+    // once, so half the ball populations bound the edge count.
+    let mut edges = Vec::with_capacity(balls.iter().map(Vec::len).sum::<usize>() / 2);
     for (i, ball) in balls.iter().enumerate() {
         for nb in ball {
-            // Each undirected pair appears in both balls; emit once.
             if nb.index > i {
                 let w = kernel.weight(nb.dist2, bandwidth)?;
                 if w > 0.0 {
-                    triplets.push((i, nb.index, w));
-                    triplets.push((nb.index, i, w));
+                    edges.push((i, nb.index, w));
                 }
             }
         }
     }
-    Ok(CsrMatrix::from_triplets(n, n, &triplets)?)
+    symmetric_csr(n, &edges)
 }
 
 #[cfg(test)]

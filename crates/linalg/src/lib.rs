@@ -80,7 +80,7 @@ pub use ops::{DiagonalOperator, LinearOperator, ShiftedOperator, SumOperator};
 pub use precond::{
     BlockJacobiPrecond, Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner, DEFAULT_BLOCK_DIM,
 };
-pub use sparse::CsrMatrix;
+pub use sparse::{CsrMatrix, CsrRowIter};
 pub use vector::Vector;
 
 /// Stationary iterative solvers (Jacobi, Gauss–Seidel).

@@ -43,55 +43,138 @@ impl CsrMatrix {
 
     /// Builds a CSR matrix from `(row, col, value)` triplets.
     ///
-    /// Duplicate coordinates are summed; explicit zeros are dropped.
+    /// The triplets are ordered exactly as a stable sort on `(row, col)`
+    /// would order them, in `O(nnz)` rather than `O(nnz log nnz)`: a
+    /// stable counting sort by row, then a stable column sort inside each
+    /// row that arrives unsorted (rows are short, and sorted rows are left
+    /// alone). Duplicate coordinates are then summed in input order.
+    ///
+    /// Zeros follow the merge, not the input: a triplet whose value is
+    /// exactly `±0.0` is dropped when it would open a new entry, but a run
+    /// of duplicates whose sum cancels to exactly `0.0` *is stored* (as an
+    /// explicit zero). [`CsrMatrix::transpose`] drops such stored zeros.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] when any coordinate is out of
     /// bounds.
     /// shape: (rows, cols)
+    /// hot
+    /// complexity: O(nnz)
+    /// deterministic
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> Result<Self> {
+        // Row histogram, validating every coordinate on the way.
+        let mut indptr = vec![0usize; rows + 1];
         for &(r, c, _) in triplets {
             if r >= rows || c >= cols {
                 return Err(Error::InvalidArgument {
                     message: format!("triplet ({r}, {c}) out of bounds for {rows}x{cols} matrix"),
                 });
             }
+            indptr[r + 1] += 1;
         }
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        prefix_sum(&mut indptr);
 
-        let mut indptr = vec![0usize; rows + 1];
-        let mut indices = Vec::with_capacity(sorted.len());
-        let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
-        for (r, c, v) in sorted {
-            if let (Some(&last_c), Some(last_v)) = (indices.last(), values.last_mut()) {
-                // Merge duplicates that landed adjacent after sorting.
-                if indptr[r + 1] > 0 && last_c == c && {
-                    // The duplicate must be in the same row: check that no
-                    // later row has started since.
-                    indptr[r + 1] == indices.len()
-                } {
-                    *last_v += v;
-                    continue;
+        // Stable counting sort by row: scatter in input order.
+        let mut entries = vec![(0usize, 0.0f64); triplets.len()];
+        let mut next = indptr.clone();
+        for &(r, c, v) in triplets {
+            let slot = &mut next[r];
+            entries[*slot] = (c, v);
+            *slot += 1;
+        }
+
+        // Stable column sort inside each unsorted row, then the merge:
+        // duplicates sum into the entry they follow, and an exact zero never
+        // opens an entry. `indptr` is rewritten behind the row cursor.
+        let mut indices: Vec<usize> = Vec::with_capacity(entries.len());
+        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
+        let mut lo = 0usize;
+        for r in 0..rows {
+            let hi = indptr[r + 1];
+            let row = &mut entries[lo..hi];
+            if !row.is_sorted_by_key(|&(c, _)| c) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            let row_start = indices.len();
+            for &(c, v) in &*row {
+                match values.last_mut() {
+                    Some(last) if indices.len() > row_start && indices.last() == Some(&c) => {
+                        *last += v;
+                    }
+                    _ if crate::float::is_exactly_zero(v) => {}
+                    _ => {
+                        indices.push(c);
+                        values.push(v);
+                    }
                 }
             }
-            if crate::float::is_exactly_zero(v) {
-                continue;
-            }
-            indices.push(c);
-            values.push(v);
             indptr[r + 1] = indices.len();
+            lo = hi;
         }
-        // Make indptr cumulative (carry forward rows with no entries).
-        for r in 1..=rows {
-            if indptr[r] < indptr[r - 1] {
-                indptr[r] = indptr[r - 1];
-            }
+        CsrMatrix::from_sorted_rows(rows, cols, indptr, indices, values)
+    }
+
+    /// Builds a CSR matrix from its three arrays: row `r` holds columns
+    /// `indices[indptr[r]..indptr[r + 1]]` with the aligned `values`.
+    ///
+    /// This is the one validated row-wise constructor; every CSR builder
+    /// in the workspace ends here. Values are stored as given (explicit
+    /// zeros included). The check is `O(nnz)` and never panics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidArgument`] when `indptr.len() != rows + 1`,
+    /// `indptr[0] != 0`, `indptr` decreases, `indptr[rows]`,
+    /// `indices.len()` and `values.len()` disagree, a column index is
+    /// `>= cols`, or a row's columns are not strictly increasing (unsorted
+    /// or duplicated).
+    /// shape: (rows, cols)
+    /// hot
+    /// complexity: O(nnz)
+    /// deterministic
+    pub fn from_sorted_rows(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<Self> {
+        let invalid = |message: String| Err(Error::InvalidArgument { message });
+        if rows.checked_add(1) != Some(indptr.len()) {
+            return invalid(format!(
+                "indptr has length {}, expected rows + 1 = {rows} + 1",
+                indptr.len()
+            ));
+        }
+        if indptr.first() != Some(&0) {
+            return invalid("indptr must start at 0".to_owned());
+        }
+        if indices.len() != values.len() || indptr.last() != Some(&indices.len()) {
+            return invalid(format!(
+                "indptr ends at {:?} but there are {} indices and {} values",
+                indptr.last(),
+                indices.len(),
+                values.len()
+            ));
+        }
+        if let Some(r) = indptr.windows(2).position(|bounds| bounds[1] < bounds[0]) {
+            return invalid(format!("indptr decreases after row {r}"));
+        }
+        // indptr rises monotonically from 0 to indices.len(), so every row
+        // range below is in bounds.
+        let bad_row = indptr.windows(2).position(|bounds| {
+            let row = &indices[bounds[0]..bounds[1]];
+            row.windows(2).any(|pair| pair[1] <= pair[0]) || row.last().is_some_and(|&c| c >= cols)
+        });
+        if let Some(r) = bad_row {
+            return invalid(format!(
+                "row {r} columns must be strictly increasing and below {cols}"
+            ));
         }
         Ok(CsrMatrix {
             rows,
@@ -162,6 +245,24 @@ impl CsrMatrix {
         self.values.len()
     }
 
+    /// Row pointer array of length `rows + 1`: row `i` occupies
+    /// `indptr[i]..indptr[i + 1]` of [`CsrMatrix::indices`] and
+    /// [`CsrMatrix::values`].
+    pub fn indptr(&self) -> &[usize] {
+        &self.indptr
+    }
+
+    /// Column indices of the stored entries, strictly increasing within
+    /// each row.
+    pub fn indices(&self) -> &[usize] {
+        &self.indices
+    }
+
+    /// Stored values, aligned with [`CsrMatrix::indices`].
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Element at `(i, j)` (zero when not stored).
     ///
     /// # Panics
@@ -182,7 +283,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics when `i >= rows`.
-    pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn row_iter(&self, i: usize) -> CsrRowIter<'_> {
         assert!(i < self.rows, "row index out of bounds");
         let lo = self.indptr[i];
         let hi = self.indptr[i + 1];
@@ -246,18 +347,44 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Returns the transpose (also in CSR form).
+    /// Returns the transpose (also in CSR form), dropping stored exact
+    /// zeros.
+    ///
+    /// A column-count scatter: count each column's entries, take a prefix
+    /// sum, then visit the rows in order and append row `i` to the lists
+    /// of its columns — so every output row comes out sorted without a
+    /// comparison sort.
     /// shape: (self.cols, self.rows)
+    /// hot
+    /// complexity: O(nnz)
+    /// deterministic
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.rows {
-            for (j, v) in self.row_iter(i) {
-                triplets.push((j, i, v));
+        let kept = |v: f64| !crate::float::is_exactly_zero(v);
+        let mut indptr = vec![0usize; self.cols + 1];
+        for (&j, &v) in self.indices.iter().zip(&self.values) {
+            if kept(v) {
+                indptr[j + 1] += 1;
             }
         }
-        // Coordinates came from a valid matrix, so this cannot fail.
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transpose produced invalid coordinates") // lint: allow(no_panic)
+        prefix_sum(&mut indptr);
+        let nnz = indptr[self.cols];
+        let mut indices = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        let mut next = indptr.clone();
+        for i in 0..self.rows {
+            for (j, v) in self.row_iter(i) {
+                if kept(v) {
+                    let slot = &mut next[j];
+                    indices[*slot] = i;
+                    values[*slot] = v;
+                    *slot += 1;
+                }
+            }
+        }
+        // Rows were visited in ascending order, so each output row is
+        // strictly increasing and the arrays are valid by construction.
+        CsrMatrix::from_sorted_rows(self.cols, self.rows, indptr, indices, values)
+            .expect("transpose scatter produced invalid CSR arrays") // lint: allow(no_panic)
     }
 
     /// Returns `true` when the matrix equals its transpose up to `tol`.
@@ -294,6 +421,22 @@ impl CsrMatrix {
     }
 }
 
+/// Iterator over the stored `(col, value)` pairs of one CSR row, in
+/// ascending column order (see [`CsrMatrix::row_iter`]).
+pub type CsrRowIter<'a> = std::iter::Zip<
+    std::iter::Copied<std::slice::Iter<'a, usize>>,
+    std::iter::Copied<std::slice::Iter<'a, f64>>,
+>;
+
+/// Turns per-row counts stored at `counts[r + 1]` into row pointers.
+fn prefix_sum(counts: &mut [usize]) {
+    let mut total = 0usize;
+    for count in counts.iter_mut() {
+        total += *count;
+        *count = total;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +456,63 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.5)]).unwrap();
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.nnz(), 1);
+    }
+
+    #[test]
+    fn from_triplets_stores_cancelled_duplicates_and_transpose_drops_them() {
+        // An explicit zero never opens an entry, in either sign...
+        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 0.0), (1, 0, -0.0)]).unwrap();
+        assert_eq!(m.nnz(), 0);
+        // ...but a duplicate run that cancels to exactly 0.0 after its first
+        // nonzero is stored: the merge runs before the zero check.
+        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.5), (1, 1, 2.0), (0, 1, -1.5)]).unwrap();
+        assert_eq!(m.indptr(), &[0, 1, 2]);
+        assert_eq!(m.indices(), &[1, 1]);
+        assert_eq!(m.values()[0].to_bits(), 0.0f64.to_bits());
+        // A zero after the stored entry merges into it instead of vanishing.
+        let m = CsrMatrix::from_triplets(1, 1, &[(0, 0, 0.0), (0, 0, 2.0), (0, 0, 0.0)]).unwrap();
+        assert_eq!(m.values(), &[2.0]);
+        // The transpose drops the stored zero.
+        let t = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.5), (1, 1, 2.0), (0, 1, -1.5)])
+            .unwrap()
+            .transpose();
+        assert_eq!(t.indptr(), &[0, 0, 1]);
+        assert_eq!(t.indices(), &[1]);
+        assert_eq!(t.values(), &[2.0]);
+    }
+
+    #[test]
+    fn from_sorted_rows_accepts_valid_arrays() {
+        let m =
+            CsrMatrix::from_sorted_rows(3, 4, vec![0, 2, 2, 3], vec![0, 3, 1], vec![1.0, 0.0, 2.0])
+                .unwrap();
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.get(0, 3), 0.0);
+        assert_eq!(m.get(2, 1), 2.0);
+        assert_eq!(
+            CsrMatrix::from_sorted_rows(0, 0, vec![0], vec![], vec![])
+                .unwrap()
+                .rows(),
+            0
+        );
+    }
+
+    #[test]
+    fn from_sorted_rows_rejects_broken_invariants() {
+        let cases: [(usize, usize, Vec<usize>, Vec<usize>, Vec<f64>); 8] = [
+            (2, 2, vec![0, 1], vec![0], vec![1.0]),
+            (2, 2, vec![1, 1, 1], vec![0], vec![1.0]),
+            (2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]),
+            (2, 2, vec![0, 1, 1], vec![2], vec![1.0]),
+            (1, 3, vec![0, 2], vec![2, 1], vec![1.0, 1.0]),
+            (1, 3, vec![0, 2], vec![1, 1], vec![1.0, 1.0]),
+            (1, 3, vec![0, 2], vec![0, 1], vec![1.0]),
+            (1, 3, vec![0, 1], vec![0, 1], vec![1.0, 1.0]),
+        ];
+        for (rows, cols, indptr, indices, values) in cases {
+            let err = CsrMatrix::from_sorted_rows(rows, cols, indptr, indices, values);
+            assert!(matches!(err, Err(Error::InvalidArgument { .. })), "{err:?}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! deterministic sweep of seeded random cases instead of a shrinking
 //! strategy. Seeds are fixed, so failures are exactly reproducible.
 
+use gssl_linalg::float::is_exactly_zero;
 use gssl_linalg::stationary::{gauss_seidel, jacobi, IterationOptions};
 use gssl_linalg::{
     conjugate_gradient, symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix,
@@ -298,4 +299,202 @@ fn row_sums_equal_matvec_with_ones() {
         let ones = Vector::ones(DIM);
         assert!(a.row_sums().approx_eq(&a.matvec(&ones).unwrap(), 1e-13));
     });
+}
+
+/// The CSR arrays `(indptr, indices, values)` of a matrix.
+type CsrArrays = (Vec<usize>, Vec<usize>, Vec<f64>);
+
+/// Reference `from_triplets`: a stable comparison sort on `(row, col)`
+/// followed by the merge (duplicates summed in input order, an exact zero
+/// never opening an entry). The production builder must reproduce these
+/// arrays bit for bit without the comparison sort.
+fn stable_sort_oracle(rows: usize, triplets: &[(usize, usize, f64)]) -> CsrArrays {
+    let mut sorted = triplets.to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut indptr = vec![0usize; rows + 1];
+    let mut indices: Vec<usize> = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
+    let mut last: Option<(usize, usize)> = None;
+    for (r, c, v) in sorted {
+        if last == Some((r, c)) {
+            *values.last_mut().expect("an entry was stored") += v;
+            continue;
+        }
+        if is_exactly_zero(v) {
+            continue;
+        }
+        indices.push(c);
+        values.push(v);
+        last = Some((r, c));
+        indptr[r + 1] = indices.len();
+    }
+    for r in 1..=rows {
+        indptr[r] = indptr[r].max(indptr[r - 1]);
+    }
+    (indptr, indices, values)
+}
+
+fn csr_arrays(m: &CsrMatrix) -> CsrArrays {
+    (
+        m.indptr().to_vec(),
+        m.indices().to_vec(),
+        m.values().to_vec(),
+    )
+}
+
+/// Bitwise equality of two CSR array triples (`-0.0 != 0.0`, NaN == NaN).
+fn assert_arrays_bitwise(got: &CsrArrays, want: &CsrArrays) {
+    assert_eq!(got.0, want.0, "indptr differs");
+    assert_eq!(got.1, want.1, "indices differ");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.2), bits(&want.2), "values differ");
+}
+
+/// Unsorted triplets over a `rows × cols` shape with duplicates, exact
+/// cancellations, explicit `0.0` / `-0.0` and (by sparsity) empty rows.
+fn hostile_triplets(rows: usize, cols: usize, rng: &mut StdRng) -> Vec<(usize, usize, f64)> {
+    let count = rng.gen_range(0..4 * (rows + cols));
+    let mut triplets = Vec::with_capacity(2 * count);
+    for _ in 0..count {
+        let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+        match rng.gen_range(0..6usize) {
+            0 => triplets.push((r, c, 0.0)),
+            1 => triplets.push((r, c, -0.0)),
+            2 => {
+                // An exact cancellation, possibly split by other entries.
+                let v = rng.gen::<f64>() * 3.0 - 1.5;
+                triplets.push((r, c, v));
+                triplets.push((rng.gen_range(0..rows), rng.gen_range(0..cols), 1.0));
+                triplets.push((r, c, -v));
+            }
+            _ => triplets.push((r, c, rng.gen::<f64>() * 4.0 - 2.0)),
+        }
+    }
+    // Shuffle so rows and columns arrive out of order.
+    for i in (1..triplets.len()).rev() {
+        let j = rng.gen_range(0..i + 1);
+        triplets.swap(i, j);
+    }
+    triplets
+}
+
+#[test]
+fn csr_from_triplets_is_bitwise_the_stable_sort_oracle() {
+    for_cases(|rng| {
+        let rows = rng.gen_range(1..12usize);
+        let cols = rng.gen_range(1..12usize);
+        let triplets = hostile_triplets(rows, cols, rng);
+        let csr = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+        assert_arrays_bitwise(&csr_arrays(&csr), &stable_sort_oracle(rows, &triplets));
+        // Dense accumulation agrees on every entry too.
+        let mut dense = Matrix::zeros(rows, cols);
+        for &(r, c, v) in &triplets {
+            dense.set(r, c, dense.get(r, c) + v);
+        }
+        assert!(csr.to_dense().approx_eq(&dense, 1e-12));
+    });
+}
+
+#[test]
+fn csr_transpose_matches_the_dense_transpose() {
+    for_cases(|rng| {
+        let rows = rng.gen_range(1..12usize);
+        let cols = rng.gen_range(1..12usize);
+        let triplets = hostile_triplets(rows, cols, rng);
+        let csr = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+        let t = csr.transpose();
+        assert_eq!((t.rows(), t.cols()), (cols, rows));
+        assert!(t.to_dense().approx_eq(&csr.to_dense().transpose(), 0.0));
+        // Bitwise: the transpose is the oracle over the swapped stored
+        // entries, so stored cancelled zeros are dropped.
+        let swapped: Vec<_> = (0..rows)
+            .flat_map(|i| csr.row_iter(i).map(move |(j, v)| (j, i, v)))
+            .collect();
+        assert_arrays_bitwise(&csr_arrays(&t), &stable_sort_oracle(cols, &swapped));
+        assert!(!t.values().iter().any(|&v| is_exactly_zero(v)));
+        assert!(t.transpose().to_dense().approx_eq(&csr.to_dense(), 0.0));
+    });
+}
+
+#[test]
+fn csr_from_sorted_rows_round_trips_and_rejects_broken_invariants() {
+    use gssl_linalg::Error;
+    // Rejection kinds exercised across the sweep (each must occur).
+    let mut exercised = std::collections::BTreeSet::new();
+    for_cases(|rng| {
+        let rows = rng.gen_range(1..10usize);
+        let cols = rng.gen_range(1..10usize);
+        let csr = CsrMatrix::from_triplets(rows, cols, &hostile_triplets(rows, cols, rng)).unwrap();
+        let (indptr, indices, values) = csr_arrays(&csr);
+        let rebuilt = CsrMatrix::from_sorted_rows(
+            rows,
+            cols,
+            indptr.clone(),
+            indices.clone(),
+            values.clone(),
+        )
+        .unwrap();
+        assert_arrays_bitwise(&csr_arrays(&rebuilt), &csr_arrays(&csr));
+
+        let mut reject = |indptr: Vec<usize>, indices: Vec<usize>, values: Vec<f64>, what| {
+            let result = CsrMatrix::from_sorted_rows(rows, cols, indptr, indices, values);
+            assert!(
+                matches!(result, Err(Error::InvalidArgument { .. })),
+                "{what}: expected InvalidArgument, got {result:?}"
+            );
+            exercised.insert(what);
+        };
+        let mut shifted = indptr.clone();
+        shifted.iter_mut().for_each(|p| *p += 1);
+        reject(shifted, indices.clone(), values.clone(), "indptr[0] != 0");
+        reject(
+            indptr[..rows].to_vec(),
+            indices.clone(),
+            values.clone(),
+            "short indptr",
+        );
+        let mut extra = values.clone();
+        extra.push(1.0);
+        reject(indptr.clone(), indices.clone(), extra, "mismatched lengths");
+        if let Some((r, _)) = indptr.windows(2).enumerate().find(|(_, w)| w[1] > w[0]) {
+            let lo = indptr[r];
+            if r + 1 < rows {
+                // An interior pointer past its successor and past the end.
+                let mut broken = indptr.clone();
+                broken[r + 1] = indptr[rows] + 1;
+                reject(
+                    broken,
+                    indices.clone(),
+                    values.clone(),
+                    "non-monotone indptr",
+                );
+            }
+            let mut out_of_bounds = indices.clone();
+            out_of_bounds[indptr[r + 1] - 1] = cols;
+            reject(
+                indptr.clone(),
+                out_of_bounds,
+                values.clone(),
+                "index >= cols",
+            );
+            if indptr[r + 1] - lo >= 2 {
+                let mut unsorted = indices.clone();
+                unsorted.swap(lo, lo + 1);
+                reject(indptr.clone(), unsorted, values.clone(), "unsorted row");
+                let mut duplicate = indices.clone();
+                duplicate[lo + 1] = duplicate[lo];
+                reject(
+                    indptr.clone(),
+                    duplicate,
+                    values.clone(),
+                    "duplicate column",
+                );
+            }
+        }
+    });
+    assert_eq!(
+        exercised.len(),
+        7,
+        "rejection kinds exercised: {exercised:?}"
+    );
 }

@@ -957,6 +957,133 @@ fn snapshot_roundtrip_is_bit_identical() {
 /// first assertion; deleting one leaves a stale row and fails the second.
 /// `gssl-xtask` pins the same inventory by count, so the analyzer's
 /// contract set and this suite cannot drift apart silently.
+/// The CSR arrays of a matrix with values as bit patterns, so `==`
+/// distinguishes `-0.0` from `0.0`.
+fn csr_bits(m: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+    (
+        m.indptr().to_vec(),
+        m.indices().to_vec(),
+        m.values().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Stable comparison sort on `(row, col)` plus the duplicate merge: the
+/// construction the counting-sort `from_triplets` replaced, kept here as
+/// its bitwise reference.
+fn stable_sort_csr(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut sorted = triplets.to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut indptr = vec![0usize; rows + 1];
+    let mut indices: Vec<usize> = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
+    let mut last = None;
+    for (r, c, v) in sorted {
+        if last == Some((r, c)) {
+            *values.last_mut().expect("merged into a stored entry") += v;
+        } else if !gssl_linalg::float::is_exactly_zero(v) {
+            indices.push(c);
+            values.push(v);
+            last = Some((r, c));
+        }
+        indptr[r + 1] = indices.len();
+    }
+    for r in 1..=rows {
+        indptr[r] = indptr[r].max(indptr[r - 1]);
+    }
+    CsrMatrix::from_sorted_rows(rows, cols, indptr, indices, values).expect("reference arrays")
+}
+
+#[test]
+fn csr_builders_are_bit_identical_to_the_stable_sort_reference() {
+    let graph = knn_graph(
+        &points(57, 3),
+        5,
+        Kernel::Gaussian,
+        0.5,
+        Symmetrization::Union,
+    )
+    .expect("knn graph");
+    let n = graph.rows();
+    // Every stored entry, emitted column-major (so rows arrive unsorted),
+    // plus duplicates that split a weight in two and exact cancellations.
+    let mut triplets = Vec::new();
+    for i in (0..n).rev() {
+        for (j, w) in graph.row_iter(i) {
+            triplets.push((j, i, 0.25 * w));
+            triplets.push(((i + j) % n, (i * 7) % n, -0.0));
+        }
+    }
+    for i in 0..n {
+        for (j, w) in graph.row_iter(i) {
+            triplets.push((j, i, 0.75 * w));
+            triplets.push((i, (i + 3) % n, w));
+            triplets.push((i, (i + 3) % n, -w));
+        }
+    }
+    let reference = stable_sort_csr(n, n, &triplets);
+    for _ in 0..2 {
+        let built = CsrMatrix::from_triplets(n, n, &triplets).expect("from_triplets");
+        assert_eq!(csr_bits(&built), csr_bits(&reference), "from_triplets");
+        let rebuilt = CsrMatrix::from_sorted_rows(
+            n,
+            n,
+            built.indptr().to_vec(),
+            built.indices().to_vec(),
+            built.values().to_vec(),
+        )
+        .expect("from_sorted_rows");
+        assert_eq!(csr_bits(&rebuilt), csr_bits(&built), "from_sorted_rows");
+        // The transpose is the reference over the swapped stored entries.
+        let swapped: Vec<_> = (0..n)
+            .flat_map(|i| built.row_iter(i).map(move |(j, v)| (j, i, v)))
+            .collect();
+        assert_eq!(
+            csr_bits(&built.transpose()),
+            csr_bits(&stable_sort_csr(n, n, &swapped)),
+            "transpose"
+        );
+    }
+    // A symmetric graph is its own transpose, bit for bit.
+    assert_eq!(csr_bits(&graph.transpose()), csr_bits(&graph));
+}
+
+#[test]
+fn system_csr_builders_are_bit_identical_across_worker_counts() {
+    let pts = points(90, 3);
+    let labels: Vec<f64> = (0..12).map(|i| f64::from(i as u8 % 2)).collect();
+    let build = |executor: &Executor| {
+        let graph = knn_graph_with(
+            &pts,
+            6,
+            Kernel::Gaussian,
+            0.4,
+            Symmetrization::Union,
+            executor,
+        )
+        .expect("knn graph");
+        let problem = Problem::new(graph, labels.clone()).expect("problem");
+        let hard = problem.unlabeled_system_csr().expect("hard system");
+        let soft = problem.soft_system_csr(0.6).expect("soft system");
+        (hard, soft)
+    };
+    // The triplet-route reference for these builders is pinned at 5 000
+    // points in tests/sparse_scale.rs; here they must repeat bit for bit.
+    let (hard, soft) = build(&Executor::Sequential);
+    for workers in WORKER_COUNTS {
+        let (hard_w, soft_w) = build(&Executor::with_workers(workers));
+        assert_eq!(
+            csr_bits(&hard_w),
+            csr_bits(&hard),
+            "hard system at {workers} workers"
+        );
+        assert_eq!(
+            csr_bits(&soft_w),
+            csr_bits(&soft),
+            "soft system at {workers} workers"
+        );
+    }
+}
+
 #[test]
 fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
     // (file, fn, covering test in this file)
@@ -1241,6 +1368,31 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "restore",
             "snapshot_roundtrip_is_bit_identical",
         ),
+        (
+            "crates/linalg/src/sparse.rs",
+            "from_triplets",
+            "csr_builders_are_bit_identical_to_the_stable_sort_reference",
+        ),
+        (
+            "crates/linalg/src/sparse.rs",
+            "from_sorted_rows",
+            "csr_builders_are_bit_identical_to_the_stable_sort_reference",
+        ),
+        (
+            "crates/linalg/src/sparse.rs",
+            "transpose",
+            "csr_builders_are_bit_identical_to_the_stable_sort_reference",
+        ),
+        (
+            "crates/core/src/problem.rs",
+            "unlabeled_system_csr",
+            "system_csr_builders_are_bit_identical_across_worker_counts",
+        ),
+        (
+            "crates/core/src/problem.rs",
+            "soft_system_csr",
+            "system_csr_builders_are_bit_identical_across_worker_counts",
+        ),
     ];
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -1302,7 +1454,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 56, "inventory drifted from the pinned 56");
+    assert_eq!(annotated.len(), 61, "inventory drifted from the pinned 61");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))
