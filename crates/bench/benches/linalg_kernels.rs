@@ -2,7 +2,7 @@
 //! products at the sizes the criteria actually use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gssl_linalg::{conjugate_gradient, CgOptions, Cholesky, CsrMatrix, Lu, Matrix, Vector};
+use gssl_linalg::{preconditioned_cg_with, CgOptions, Cholesky, CsrMatrix, Lu, Matrix, Vector};
 
 /// A well-conditioned SPD matrix shaped like a hard-criterion system.
 fn spd_system(n: usize) -> Matrix {
@@ -45,8 +45,12 @@ fn bench_solves(c: &mut Criterion) {
     group.bench_function("cholesky_backsolve", |b| {
         b.iter(|| chol.solve(&rhs).expect("solve"));
     });
-    group.bench_function("conjugate_gradient", |b| {
-        b.iter(|| conjugate_gradient(&a, &rhs, &CgOptions::default()).expect("cg"));
+    // A unit diagonal is unpreconditioned CG.
+    let unit = vec![1.0; n];
+    group.bench_function("cg_unpreconditioned", |b| {
+        b.iter(|| {
+            preconditioned_cg_with(&a, &rhs, unit.as_slice(), &CgOptions::default()).expect("cg")
+        });
     });
     group.finish();
 }

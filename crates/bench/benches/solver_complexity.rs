@@ -63,10 +63,7 @@ fn bench_hard_backends(c: &mut Criterion) {
     let backends: Vec<(&str, HardCriterion)> = vec![
         ("cholesky", HardCriterion::new()),
         ("lu", HardCriterion::new().solver(HardSolver::Lu)),
-        (
-            "conjugate_gradient",
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
-        ),
+        ("jacobi_cg", forced(SparseStrategy::Jacobi)),
         (
             "propagation_jacobi",
             HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
@@ -122,7 +119,7 @@ fn bench_dense_vs_sparse_cg_crossover(c: &mut Criterion) {
             b.iter(|| direct.fit(p).expect("dense direct fit"));
         });
         group.bench_with_input(BenchmarkId::new("sparse_cg", total), &sparse, |b, p| {
-            let cg = HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default()));
+            let cg = forced(SparseStrategy::Jacobi);
             b.iter(|| cg.fit(p).expect("sparse cg fit"));
         });
         group.bench_with_input(BenchmarkId::new("auto_dense", total), &dense, |b, p| {
@@ -146,9 +143,8 @@ fn forced(strategy: SparseStrategy) -> HardCriterion {
     }))
 }
 
-/// Preconditioner ablation on the banded graph: plain Jacobi-CG vs
-/// block-Jacobi PCG vs IC(0) PCG vs AMG through the forced-strategy
-/// policy routes. IC(0) is exact on banded matrices, so its iteration
+/// Preconditioner ablation on the banded graph: plain Jacobi-CG vs IC(0)
+/// PCG vs AMG through the forced-strategy policy routes. IC(0) is exact on banded matrices, so its iteration
 /// advantage over Jacobi translates directly into wall time here; AMG
 /// pays a hierarchy setup that only amortizes at larger sizes (the
 /// committed `BENCH_solver.json` sweep shows where).
@@ -163,10 +159,6 @@ fn bench_preconditioner_ablation(c: &mut Criterion) {
             Problem::new(CsrMatrix::from_dense(&w, 0.0), labels.clone()).expect("sparse problem");
         let strategies: Vec<(&str, HardCriterion)> = vec![
             ("jacobi_cg", forced(SparseStrategy::Jacobi)),
-            (
-                "block_jacobi_pcg",
-                forced(SparseStrategy::BlockJacobi { block_dim: 32 }),
-            ),
             ("ic0_pcg", forced(SparseStrategy::Ic0)),
             (
                 "amg_pcg",

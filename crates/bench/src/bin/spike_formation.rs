@@ -19,7 +19,7 @@
 
 use gssl::{HardCriterion, HardSolver, PLaplacian, Problem, TransductiveModel};
 use gssl_bench::runner::CliArgs;
-use gssl_linalg::{CgOptions, Matrix};
+use gssl_linalg::{Matrix, SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +80,13 @@ fn main() {
         let graph = gssl_linalg::CsrMatrix::from_dense(&dense, 1e-12);
         let problem = Problem::new(graph, labels).expect("valid problem");
         let regime = 4.0 * h * h / m as f64; // n h^d / m with n = 4, d = 2
-        let cg = HardCriterion::new().solver(HardSolver::ConjugateGradient(CgOptions::default()));
+                                             // Jacobi-preconditioned CG over the CSR system.
+        let cg = HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
+            direct_dim_cutoff: 0,
+            density_threshold: 1.0,
+            sparse: SparseStrategy::Jacobi,
+            ..SolverPolicy::default()
+        }));
         match cg.fit(&problem) {
             Ok(scores) => {
                 let spread = score_spread(scores.unlabeled());

@@ -15,9 +15,7 @@ use crate::problem::{Problem, Scores};
 use crate::propagation::{LabelPropagation, SweepKind};
 use crate::traits::TransductiveModel;
 use crate::weights::Weights;
-use gssl_linalg::{
-    strict, CgOptions, Cholesky, Factorization, Lu, Matrix, PrecondCg, SolverBackend, SolverPolicy,
-};
+use gssl_linalg::{strict, Cholesky, Factorization, Lu, Matrix, SolverBackend, SolverPolicy};
 
 /// Numerical backend used to solve the `m × m` hard-criterion system.
 ///
@@ -34,13 +32,13 @@ pub enum HardSolver {
     /// LU with partial pivoting — slightly more robust to borderline
     /// conditioning, twice the work of Cholesky.
     Lu,
-    /// Jacobi-preconditioned conjugate gradient over the CSR-assembled
-    /// system — never densifies, whatever representation the problem holds.
-    ConjugateGradient(CgOptions),
     /// Iterative label propagation (Jacobi or Gauss–Seidel sweeps).
     Propagation(SweepKind),
     /// Let a [`SolverPolicy`] pick the backend from system size, symmetry,
-    /// and nonzero density.
+    /// nonzero density, and bandwidth. A policy with
+    /// `direct_dim_cutoff: 0`, `density_threshold: 1.0` and
+    /// [`gssl_linalg::SparseStrategy::Jacobi`] forces Jacobi-preconditioned
+    /// conjugate gradient at every size.
     Auto(SolverPolicy),
 }
 
@@ -104,10 +102,9 @@ impl HardCriterion {
     }
 
     /// Resolves the configured solver to a factored backend for this
-    /// problem's `D₂₂ − W₂₂` system. Direct backends assemble densely, the
-    /// CG backend assembles in CSR (no densification), and `Auto` defers
-    /// to its [`SolverPolicy`] on whichever representation the problem
-    /// holds.
+    /// problem's `D₂₂ − W₂₂` system. Direct backends assemble densely, and
+    /// `Auto` defers to its [`SolverPolicy`] on whichever representation
+    /// the problem holds.
     fn factor_for(&self, problem: &Problem) -> Result<SolverBackend> {
         match &self.solver {
             HardSolver::Cholesky => Ok(SolverBackend::Cholesky(Cholesky::factor_with(
@@ -118,10 +115,6 @@ impl HardCriterion {
                 &problem.unlabeled_system()?,
                 &self.executor,
             )?)),
-            HardSolver::ConjugateGradient(options) => Ok(SolverBackend::Cg(
-                PrecondCg::factor_sparse(&problem.unlabeled_system_csr()?, options.clone())?
-                    .with_executor(self.executor.clone()),
-            )),
             HardSolver::Auto(policy) => {
                 // The criterion's executor wins when one was set; otherwise
                 // the policy keeps whatever executor it was built with.
@@ -178,7 +171,7 @@ impl HardCriterion {
     /// [`crate::OneVsRest`] over this criterion class by class.
     ///
     /// Every backend that resolves to a [`gssl_linalg::Factorization`]
-    /// (Cholesky, LU, CG, `Auto`) shares one handle across all classes;
+    /// (Cholesky, LU, `Auto`) shares one handle across all classes;
     /// only the propagation backend falls back to one fit per class.
     ///
     /// # Errors
@@ -279,7 +272,18 @@ impl TransductiveModel for HardCriterion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gssl_linalg::Matrix;
+    use gssl_linalg::{CgOptions, Matrix, SparseStrategy};
+
+    /// Jacobi-preconditioned CG at every system size.
+    fn forced_cg(cg: CgOptions) -> HardSolver {
+        HardSolver::Auto(SolverPolicy {
+            direct_dim_cutoff: 0,
+            density_threshold: 1.0,
+            sparse: SparseStrategy::Jacobi,
+            cg,
+            ..SolverPolicy::default()
+        })
+    }
 
     fn sample_problem() -> Problem {
         let w = Matrix::from_rows(&[
@@ -296,7 +300,7 @@ mod tests {
         vec![
             HardCriterion::new(),
             HardCriterion::new().solver(HardSolver::Lu),
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(CgOptions {
+            HardCriterion::new().solver(forced_cg(CgOptions {
                 tolerance: 1e-12,
                 ..CgOptions::default()
             })),
@@ -415,7 +419,7 @@ mod tests {
         for solver in [
             HardSolver::Cholesky,
             HardSolver::Lu,
-            HardSolver::ConjugateGradient(CgOptions::default()),
+            forced_cg(CgOptions::default()),
             HardSolver::Auto(SolverPolicy::default()),
         ] {
             let reference = HardCriterion::new().solver(solver.clone()).fit(&p).unwrap();

@@ -67,7 +67,6 @@ mod problem;
 mod propagation;
 mod self_training;
 mod soft;
-mod sparse_problem;
 /// Diagnostics for the paper's consistency theory (Neumann tails, spectral gaps).
 pub mod theory;
 mod traits;
@@ -86,7 +85,5 @@ pub use problem::{Problem, Scores};
 pub use propagation::{LabelPropagation, SweepKind};
 pub use self_training::SelfTraining;
 pub use soft::SoftCriterion;
-#[allow(deprecated)]
-pub use sparse_problem::SparseProblem;
 pub use traits::TransductiveModel;
 pub use weights::{RowEntries, Weights};

@@ -550,8 +550,12 @@ mod tests {
         assert!(Problem::new(CsrMatrix::zeros(2, 3), vec![1.0]).is_err());
         assert!(Problem::new(chain_csr(), vec![]).is_err());
         assert!(Problem::new(chain_csr(), vec![1.0; 4]).is_err());
+        assert!(Problem::new(chain_csr(), vec![f64::NAN]).is_err());
         let sparse_asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
         assert!(Problem::new(sparse_asym, vec![1.0]).is_err());
+        let sparse_negative =
+            CsrMatrix::from_triplets(2, 2, &[(0, 1, -1.0), (1, 0, -1.0)]).unwrap();
+        assert!(Problem::new(sparse_negative, vec![1.0]).is_err());
     }
 
     #[test]

@@ -236,40 +236,61 @@ mod tests {
         assert_eq!(scores.labeled(), &[0.0, 1.0]);
     }
 
+    /// The same problem holding its CSR conversion.
+    fn as_sparse(p: &Problem) -> Problem {
+        let csr = gssl_linalg::CsrMatrix::from_dense(p.dense_weights().unwrap(), 0.0);
+        Problem::new(csr, p.labels().to_vec()).unwrap()
+    }
+
     #[test]
     fn rejects_unanchored_problem() {
-        let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let p = Problem::new(w, vec![1.0]).unwrap();
-        assert!(matches!(
-            LabelPropagation::new().fit(&p),
-            Err(Error::UnanchoredUnlabeled { .. })
-        ));
+        // Two components; only the first holds a label.
+        let w = Matrix::from_rows(&[
+            &[1.0, 1.0, 0.0, 0.0],
+            &[1.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0, 1.0],
+            &[0.0, 0.0, 1.0, 1.0],
+        ])
+        .unwrap();
+        let dense = Problem::new(w, vec![1.0]).unwrap();
+        for p in [as_sparse(&dense), dense] {
+            assert!(matches!(
+                LabelPropagation::new().max_iterations(100).fit(&p),
+                Err(Error::UnanchoredUnlabeled { unlabeled_index: 1 })
+            ));
+        }
     }
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let p = chain_problem();
-        let result = LabelPropagation::new()
-            .max_iterations(1)
-            .tolerance(1e-15)
-            .fit(&p);
-        assert!(matches!(result, Err(Error::Linalg(_))));
+        let dense = chain_problem();
+        for p in [as_sparse(&dense), dense] {
+            let result = LabelPropagation::new()
+                .max_iterations(1)
+                .tolerance(1e-15)
+                .fit_with_iterations(&p);
+            assert!(matches!(
+                result,
+                Err(Error::Linalg(gssl_linalg::Error::NotConverged { .. }))
+            ));
+        }
     }
 
     #[test]
     fn fully_labeled_problem_short_circuits() {
         let w = Matrix::from_rows(&[&[1.0, 0.3], &[0.3, 1.0]]).unwrap();
-        let p = Problem::new(w, vec![0.0, 1.0]).unwrap();
-        let (scores, iterations) = LabelPropagation::new().fit_with_iterations(&p).unwrap();
-        assert_eq!(iterations, 0);
-        assert!(scores.unlabeled().is_empty());
+        let dense = Problem::new(w, vec![0.0, 1.0]).unwrap();
+        for p in [as_sparse(&dense), dense] {
+            let (scores, iterations) = LabelPropagation::new().fit_with_iterations(&p).unwrap();
+            assert_eq!(iterations, 0);
+            assert_eq!(scores.all(), &[0.0, 1.0]);
+        }
     }
 
     #[test]
     fn sparse_representation_matches_dense() {
         let dense = chain_problem();
-        let csr = gssl_linalg::CsrMatrix::from_dense(dense.dense_weights().unwrap(), 0.0);
-        let sparse = Problem::new(csr, dense.labels().to_vec()).unwrap();
+        let sparse = as_sparse(&dense);
         for sweep in [SweepKind::Simultaneous, SweepKind::InPlace] {
             let a = LabelPropagation::new().sweep(sweep).fit(&dense).unwrap();
             let b = LabelPropagation::new().sweep(sweep).fit(&sparse).unwrap();

@@ -1,10 +1,8 @@
 //! The unified similarity-matrix representation behind [`crate::Problem`].
 //!
-//! Historically dense problems lived in `Problem` and sparse ones in a
-//! parallel `SparseProblem` API. [`Weights`] merges the two: a problem
-//! holds either a dense [`Matrix`] or a CSR [`CsrMatrix`], and every
-//! criterion queries it through the same accessors, so hard and soft
-//! solves run unchanged on either representation.
+//! A problem holds either a dense [`Matrix`] or a CSR [`CsrMatrix`], and
+//! every criterion queries it through the same accessors, so hard and
+//! soft solves run unchanged on either representation.
 
 use crate::error::{Error, Result};
 use gssl_linalg::{CsrMatrix, Matrix, Vector};

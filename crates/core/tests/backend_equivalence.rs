@@ -6,7 +6,11 @@
 //! soft criterion (Proposition II.1) — must behave identically too.
 
 use gssl::{Error, HardCriterion, HardSolver, Problem, Scores, SoftCriterion, Weights};
-use gssl_linalg::{AmgOptions, CgOptions, CsrMatrix, Matrix, SolverPolicy, SparseStrategy};
+use gssl_linalg::{
+    AmgOptions, CgOptions, CsrMatrix, Factorization, Matrix, PrecondCg, SolverPolicy,
+    SparseStrategy,
+};
+use gssl_runtime::Executor;
 
 /// Deterministic LCG so the random problems are reproducible.
 struct Lcg(u64);
@@ -76,13 +80,6 @@ fn hard_backends() -> Vec<(&'static str, HardSolver)> {
     let mut backends = vec![
         ("cholesky", HardSolver::Cholesky),
         ("lu", HardSolver::Lu),
-        (
-            "cg",
-            HardSolver::ConjugateGradient(CgOptions {
-                max_iterations: 0,
-                tolerance: 1e-12,
-            }),
-        ),
         ("auto", HardSolver::Auto(SolverPolicy::default())),
     ];
     for (name, policy) in forced_iterative_policies() {
@@ -113,7 +110,7 @@ fn force_cg_policy() -> SolverPolicy {
 }
 
 /// One forced-iterative policy per solver family the sparse-first stack
-/// can dispatch to: Jacobi PCG, block-Jacobi PCG, IC(0) PCG, and AMG.
+/// can dispatch to: Jacobi PCG, IC(0) PCG, and AMG.
 fn forced_iterative_policies() -> Vec<(&'static str, SolverPolicy)> {
     let tight_cg = CgOptions {
         max_iterations: 0,
@@ -121,10 +118,6 @@ fn forced_iterative_policies() -> Vec<(&'static str, SolverPolicy)> {
     };
     vec![
         ("forced-jacobi", force_cg_policy()),
-        (
-            "forced-block-jacobi",
-            force_strategy_policy(SparseStrategy::BlockJacobi { block_dim: 8 }),
-        ),
         ("forced-ic0", force_strategy_policy(SparseStrategy::Ic0)),
         (
             "forced-amg",
@@ -157,6 +150,85 @@ fn hard_backends_agree_across_representations() {
                     &reference,
                     1e-8,
                     &format!("seed {seed} {name}/{rep}"),
+                );
+            }
+        }
+        // The forced-Jacobi `Auto` route is, bit for bit, Jacobi PCG on
+        // the CSR-assembled system, on either representation and at any
+        // worker count.
+        for (rep, problem) in [("dense", &dense), ("sparse", &sparse)] {
+            let system = problem.unlabeled_system_csr().expect("system");
+            let rhs = problem.unlabeled_rhs().expect("rhs");
+            let direct = PrecondCg::factor_sparse(&system, force_cg_policy().cg)
+                .expect("factor")
+                .solve(&rhs)
+                .expect("solve");
+            for workers in [1, 2] {
+                let scores = HardCriterion::new()
+                    .solver(HardSolver::Auto(force_cg_policy()))
+                    .with_executor(Executor::with_workers(workers))
+                    .fit(problem)
+                    .expect("forced-jacobi fit");
+                assert_eq!(
+                    scores.unlabeled(),
+                    direct.as_slice(),
+                    "seed {seed} {rep} at {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+/// A path graph labeled at both ends: the harmonic solution is exactly
+/// the linear interpolation along the path, for every backend.
+#[test]
+fn path_graph_scores_interpolate_linearly() {
+    let total = 12;
+    // Labeled vertices 0 and 1 are the two ends of 0 - 2 - 3 - … - 11 - 1.
+    let path: Vec<usize> = std::iter::once(0)
+        .chain(2..total)
+        .chain(std::iter::once(1))
+        .collect();
+    let mut w = Matrix::zeros(total, total);
+    for pair in path.windows(2) {
+        w.set(pair[0], pair[1], 1.0);
+        w.set(pair[1], pair[0], 1.0);
+    }
+    let (dense, sparse) = both_representations(&w, &[0.0, 1.0]);
+    for (name, solver) in hard_backends() {
+        for (rep, problem) in [("dense", &dense), ("sparse", &sparse)] {
+            let f = HardCriterion::new()
+                .solver(solver.clone())
+                .fit(problem)
+                .unwrap_or_else(|e| panic!("{name}/{rep}: {e}"));
+            for (k, &v) in path.iter().enumerate() {
+                let expected = k as f64 / (total - 1) as f64;
+                assert!(
+                    (f.all()[v] - expected).abs() < 1e-8,
+                    "{name}/{rep}: path vertex {v} scores {} vs {expected}",
+                    f.all()[v]
+                );
+            }
+        }
+    }
+}
+
+/// The maximum principle: harmonic scores lie within the range of the
+/// labels, for every backend on either representation.
+#[test]
+fn hard_scores_obey_the_maximum_principle() {
+    let w = random_graph(40, 9);
+    let (dense, sparse) = both_representations(&w, &[0.0, 1.0, 0.3]);
+    for (name, solver) in hard_backends() {
+        for (rep, problem) in [("dense", &dense), ("sparse", &sparse)] {
+            let scores = HardCriterion::new()
+                .solver(solver.clone())
+                .fit(problem)
+                .unwrap_or_else(|e| panic!("{name}/{rep}: {e}"));
+            for &s in scores.unlabeled() {
+                assert!(
+                    (-1e-9..=1.0 + 1e-9).contains(&s),
+                    "{name}/{rep}: score {s} leaves [0, 1]"
                 );
             }
         }

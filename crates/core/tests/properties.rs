@@ -10,7 +10,7 @@ use gssl::{
     HardCriterion, HardSolver, LabelPropagation, MeanPredictor, NadarayaWatson, Problem,
     SoftCriterion, SweepKind, TransductiveModel,
 };
-use gssl_linalg::Matrix;
+use gssl_linalg::{Matrix, SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,7 +161,13 @@ fn all_hard_backends_agree() {
         let reference = HardCriterion::new().fit(&p).unwrap();
         let backends = [
             HardCriterion::new().solver(HardSolver::Lu),
-            HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
+            // Jacobi-preconditioned CG at every size.
+            HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
+                direct_dim_cutoff: 0,
+                density_threshold: 1.0,
+                sparse: SparseStrategy::Jacobi,
+                ..SolverPolicy::default()
+            })),
             HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
             HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
         ];

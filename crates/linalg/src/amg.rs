@@ -690,7 +690,10 @@ mod tests {
         let amg = AmgCg::factor_sparse(&a, AmgOptions::default()).unwrap();
         amg.solve(&b).unwrap();
         let amg_iters = amg.last_iterations().unwrap();
-        let plain = crate::cg::conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let unit = vec![1.0; a.rows()];
+        let plain =
+            crate::cg::preconditioned_cg_with(&a, &b, unit.as_slice(), &CgOptions::default())
+                .unwrap();
         assert!(
             amg_iters < plain.iterations,
             "AMG took {amg_iters} iterations vs plain CG's {}",

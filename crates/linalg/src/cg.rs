@@ -1,7 +1,10 @@
-//! Conjugate-gradient solver for symmetric positive-definite systems.
+//! Preconditioned conjugate-gradient solver for symmetric positive-definite
+//! systems.
 //!
-//! Used as the matrix-free backend for the hard criterion: `D₂₂ − W₂₂` is
-//! SPD whenever every unlabeled vertex is connected (possibly through other
+//! [`preconditioned_cg_with`] is the one CG loop in the workspace; the
+//! iterative backends ([`crate::PrecondCg`], [`crate::AmgCg`]) run it
+//! against their stored operator. The hard criterion's `D₂₂ − W₂₂` is SPD
+//! whenever every unlabeled vertex is connected (possibly through other
 //! unlabeled vertices) to a labeled vertex.
 
 use crate::error::{Error, Result};
@@ -14,7 +17,7 @@ use crate::vector::{dot_slices, Vector};
 /// Options controlling a conjugate-gradient run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
-    /// Maximum number of iterations (0 means `2 * dim`).
+    /// Maximum number of iterations (0 means `max(2 * dim, 50)`).
     pub max_iterations: usize,
     /// Convergence threshold on the *relative* residual `‖r‖/‖b‖`.
     pub tolerance: f64,
@@ -40,159 +43,15 @@ pub struct CgOutcome {
     pub residual_norm: f64,
 }
 
-/// Solves `A x = b` by the conjugate-gradient method.
-///
-/// `A` must be symmetric positive definite; this is *not* checked (CG simply
-/// fails to converge otherwise).
-///
-/// # Errors
-///
-/// * [`Error::DimensionMismatch`] when `b.len() != op.dim()`.
-/// * [`Error::InvalidArgument`] when the tolerance is not positive.
-/// * [`Error::NotConverged`] when the iteration budget is exhausted.
-/// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
-///   side or the computed solution is non-finite.
-///
-/// ```
-/// use gssl_linalg::{conjugate_gradient, CgOptions, Matrix, Vector};
-/// # fn main() -> Result<(), gssl_linalg::Error> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let b = Vector::from(vec![1.0, 2.0]);
-/// let out = conjugate_gradient(&a, &b, &CgOptions::default())?;
-/// assert!(a.matvec(&out.solution)?.approx_eq(&b, 1e-8));
-/// # Ok(())
-/// # }
-/// ```
-/// hot
-/// complexity: O(iters * n)
-pub fn conjugate_gradient(
-    op: &(impl LinearOperator + ?Sized),
-    b: &Vector,
-    options: &CgOptions,
-) -> Result<CgOutcome> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(Error::DimensionMismatch {
-            operation: "conjugate_gradient",
-            left: (n, n),
-            right: (b.len(), 1),
-        });
-    }
-    if !(options.tolerance > 0.0) {
-        return Err(Error::InvalidArgument {
-            message: format!("tolerance must be positive, got {}", options.tolerance),
-        });
-    }
-    strict::check_finite("conjugate_gradient rhs", b.as_slice())?;
-    let max_iterations = if options.max_iterations == 0 {
-        (2 * n).max(50)
-    } else {
-        options.max_iterations
-    };
-
-    let b_norm = b.norm_l2();
-    if is_exactly_zero(b_norm) {
-        return Ok(CgOutcome {
-            solution: Vector::zeros(n),
-            iterations: 0,
-            residual_norm: 0.0,
-        });
-    }
-    let threshold = options.tolerance * b_norm;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.as_slice().to_vec();
-    let mut p = r.clone();
-    let mut ap = vec![0.0; n];
-    let mut rs_old = dot_slices(&r, &r);
-
-    for k in 0..max_iterations {
-        if rs_old.sqrt() <= threshold {
-            strict::check_finite("conjugate_gradient output", &x)?;
-            return Ok(CgOutcome {
-                solution: Vector::from(x),
-                iterations: k,
-                residual_norm: rs_old.sqrt(),
-            });
-        }
-        op.apply(&p, &mut ap);
-        let p_ap = dot_slices(&p, &ap);
-        if p_ap <= 0.0 || !p_ap.is_finite() {
-            // Direction of non-positive curvature: A is not SPD (or we hit
-            // numerical breakdown). Report as non-convergence.
-            return Err(Error::NotConverged {
-                iterations: k,
-                residual: rs_old.sqrt(),
-            });
-        }
-        let alpha = rs_old / p_ap;
-        for ((xi, pi), (ri, api)) in x.iter_mut().zip(&p).zip(r.iter_mut().zip(&ap)) {
-            *xi += alpha * pi;
-            *ri -= alpha * api;
-        }
-        let rs_new = dot_slices(&r, &r);
-        let beta = rs_new / rs_old;
-        for (pi, ri) in p.iter_mut().zip(&r) {
-            *pi = ri + beta * *pi;
-        }
-        rs_old = rs_new;
-    }
-
-    if rs_old.sqrt() <= threshold {
-        strict::check_finite("conjugate_gradient output", &x)?;
-        Ok(CgOutcome {
-            solution: Vector::from(x),
-            iterations: max_iterations,
-            residual_norm: rs_old.sqrt(),
-        })
-    } else {
-        Err(Error::NotConverged {
-            iterations: max_iterations,
-            residual: rs_old.sqrt(),
-        })
-    }
-}
-
-/// Solves `A x = b` by the preconditioned conjugate-gradient method with a
-/// diagonal (Jacobi) preconditioner `M⁻¹ = diag(inv_diag)`.
-///
-/// `A` must be symmetric positive definite and `inv_diag` must hold the
-/// elementwise inverse of a positive approximation of `diag(A)`; neither is
-/// checked here (the [`crate::JacobiCg`] backend validates the diagonal at
-/// factor time). Convergence is measured on the *true* residual
-/// `‖b − A x‖₂ / ‖b‖₂`, the same criterion as [`conjugate_gradient`].
-///
-/// # Errors
-///
-/// * [`Error::DimensionMismatch`] when `b.len() != op.dim()` or
-///   `inv_diag.len() != op.dim()`.
-/// * [`Error::InvalidArgument`] when the tolerance is not positive.
-/// * [`Error::NotConverged`] when the iteration budget is exhausted or a
-///   direction of non-positive curvature is met.
-/// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
-///   side or the computed solution is non-finite.
-/// hot
-/// complexity: O(iters * n)
-pub fn preconditioned_conjugate_gradient(
-    op: &(impl LinearOperator + ?Sized),
-    b: &Vector,
-    inv_diag: &[f64],
-    options: &CgOptions,
-) -> Result<CgOutcome> {
-    // A bare inverse diagonal *is* the Jacobi preconditioner; the general
-    // driver applies it with the identical elementwise multiply, so this
-    // wrapper is bit-for-bit the historical Jacobi-PCG.
-    preconditioned_cg_with(op, b, inv_diag, options)
-}
-
 /// Solves `A x = b` by the preconditioned conjugate-gradient method with an
 /// arbitrary SPD [`Preconditioner`] `M⁻¹`.
 ///
 /// `A` must be symmetric positive definite and the preconditioner must be
 /// SPD; neither is checked here (the [`crate::PrecondCg`] backend validates
 /// at factor time, and breakdown is reported as non-convergence).
-/// Convergence is measured on the *true* residual `‖b − A x‖₂ / ‖b‖₂`, the
-/// same criterion as [`conjugate_gradient`].
+/// Convergence is measured on the *true* residual `‖b − A x‖₂ / ‖b‖₂`. A
+/// bare `&[f64]` is the Jacobi preconditioner `diag(inv_diag)`; a slice of
+/// ones gives plain, unpreconditioned CG.
 ///
 /// # Errors
 ///
@@ -203,6 +62,17 @@ pub fn preconditioned_conjugate_gradient(
 ///   direction of non-positive curvature is met.
 /// * [`Error::NonFiniteValue`] under `strict-checks` when the right-hand
 ///   side or the computed solution is non-finite.
+///
+/// ```
+/// use gssl_linalg::{preconditioned_cg_with, CgOptions, Matrix, Vector};
+/// # fn main() -> Result<(), gssl_linalg::Error> {
+/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
+/// let b = Vector::from(vec![1.0, 2.0]);
+/// let out = preconditioned_cg_with(&a, &b, &[1.0, 1.0][..], &CgOptions::default())?;
+/// assert!(a.matvec(&out.solution)?.approx_eq(&b, 1e-8));
+/// # Ok(())
+/// # }
+/// ```
 /// hot
 /// complexity: O(iters * nnz)
 pub fn preconditioned_cg_with(
@@ -214,14 +84,14 @@ pub fn preconditioned_cg_with(
     let n = op.dim();
     if b.len() != n {
         return Err(Error::DimensionMismatch {
-            operation: "preconditioned_conjugate_gradient",
+            operation: "preconditioned_cg_with",
             left: (n, n),
             right: (b.len(), 1),
         });
     }
     if precond.dim() != n {
         return Err(Error::DimensionMismatch {
-            operation: "preconditioned_conjugate_gradient preconditioner",
+            operation: "preconditioned_cg_with preconditioner",
             left: (n, n),
             right: (precond.dim(), 1),
         });
@@ -231,7 +101,7 @@ pub fn preconditioned_cg_with(
             message: format!("tolerance must be positive, got {}", options.tolerance),
         });
     }
-    strict::check_finite("preconditioned_conjugate_gradient rhs", b.as_slice())?;
+    strict::check_finite("preconditioned_cg_with rhs", b.as_slice())?;
     let max_iterations = if options.max_iterations == 0 {
         (2 * n).max(50)
     } else {
@@ -259,7 +129,7 @@ pub fn preconditioned_cg_with(
 
     for k in 0..max_iterations {
         if r_norm2.sqrt() <= threshold {
-            strict::check_finite("preconditioned_conjugate_gradient output", &x)?;
+            strict::check_finite("preconditioned_cg_with output", &x)?;
             return Ok(CgOutcome {
                 solution: Vector::from(x),
                 iterations: k,
@@ -292,7 +162,7 @@ pub fn preconditioned_cg_with(
     }
 
     if r_norm2.sqrt() <= threshold {
-        strict::check_finite("preconditioned_conjugate_gradient output", &x)?;
+        strict::check_finite("preconditioned_cg_with output", &x)?;
         Ok(CgOutcome {
             solution: Vector::from(x),
             iterations: max_iterations,
@@ -312,11 +182,20 @@ mod tests {
     use crate::matrix::Matrix;
     use crate::ops::ShiftedOperator;
 
+    /// Unpreconditioned CG: the unit diagonal makes `z = r` exactly.
+    fn plain_cg(
+        op: &(impl LinearOperator + ?Sized),
+        b: &Vector,
+        options: &CgOptions,
+    ) -> Result<CgOutcome> {
+        preconditioned_cg_with(op, b, vec![1.0; op.dim()].as_slice(), options)
+    }
+
     #[test]
     fn solves_small_spd_system() {
         let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
         let b = Vector::from(vec![1.0, 2.0]);
-        let out = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let out = plain_cg(&a, &b, &CgOptions::default()).unwrap();
         let exact = crate::lu::solve(&a, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
         assert!(out.iterations <= 2 + 1); // CG converges in <= n steps exactly
@@ -325,7 +204,7 @@ mod tests {
     #[test]
     fn zero_rhs_returns_zero_immediately() {
         let a = Matrix::identity(3);
-        let out = conjugate_gradient(&a, &Vector::zeros(3), &CgOptions::default()).unwrap();
+        let out = plain_cg(&a, &Vector::zeros(3), &CgOptions::default()).unwrap();
         assert_eq!(out.solution, Vector::zeros(3));
         assert_eq!(out.iterations, 0);
     }
@@ -333,8 +212,14 @@ mod tests {
     #[test]
     fn rejects_dimension_mismatch() {
         let a = Matrix::identity(2);
-        let err = conjugate_gradient(&a, &Vector::zeros(3), &CgOptions::default()).unwrap_err();
-        assert!(matches!(err, Error::DimensionMismatch { .. }));
+        let err = plain_cg(&a, &Vector::zeros(3), &CgOptions::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::DimensionMismatch {
+                operation: "preconditioned_cg_with",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -345,7 +230,7 @@ mod tests {
             ..CgOptions::default()
         };
         assert!(matches!(
-            conjugate_gradient(&a, &Vector::ones(2), &opts),
+            plain_cg(&a, &Vector::ones(2), &opts),
             Err(Error::InvalidArgument { .. })
         ));
     }
@@ -359,15 +244,40 @@ mod tests {
             max_iterations: 1,
             tolerance: 1e-14,
         };
-        let err = conjugate_gradient(&a, &Vector::ones(3), &opts).unwrap_err();
+        let err = plain_cg(&a, &Vector::ones(3), &opts).unwrap_err();
         assert!(matches!(err, Error::NotConverged { iterations: 1, .. }));
+    }
+
+    #[test]
+    fn zero_budget_means_max_of_twice_dim_and_50() {
+        // A tolerance no finite run reaches pins the iteration budget.
+        let opts = CgOptions {
+            max_iterations: 0,
+            tolerance: 1e-300,
+        };
+        for (n, budget) in [(10, 50), (100, 200)] {
+            let a = Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    3.0 + (i as f64).sqrt()
+                } else if i.abs_diff(j) == 1 {
+                    -1.0
+                } else {
+                    0.0
+                }
+            });
+            let err = plain_cg(&a, &Vector::ones(n), &opts).unwrap_err();
+            assert!(
+                matches!(err, Error::NotConverged { iterations, .. } if iterations == budget),
+                "n = {n}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn detects_indefinite_matrix() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
         let b = Vector::from(vec![0.0, 1.0]);
-        assert!(conjugate_gradient(&a, &b, &CgOptions::default()).is_err());
+        assert!(plain_cg(&a, &b, &CgOptions::default()).is_err());
     }
 
     #[test]
@@ -377,14 +287,14 @@ mod tests {
             Matrix::from_rows(&[&[1.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 1.0]]).unwrap();
         let shifted = ShiftedOperator::new(&l, 1.0);
         let b = Vector::from(vec![1.0, 0.0, -1.0]);
-        let out = conjugate_gradient(&shifted, &b, &CgOptions::default()).unwrap();
+        let out = plain_cg(&shifted, &b, &CgOptions::default()).unwrap();
         let dense = &l + &Matrix::identity(3);
         let exact = crate::lu::solve(&dense, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
     }
 
     #[test]
-    fn preconditioned_matches_plain_cg() {
+    fn jacobi_preconditioning_matches_plain_cg() {
         // Badly scaled SPD diagonal-dominant matrix: Jacobi preconditioning
         // should converge in no more iterations than plain CG.
         let n = 40;
@@ -399,47 +309,30 @@ mod tests {
         });
         let b = Vector::from_fn(n, |i| ((i + 1) as f64).cos());
         let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
-        let plain = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let plain = plain_cg(&a, &b, &CgOptions::default()).unwrap();
         let pcg =
-            preconditioned_conjugate_gradient(&a, &b, &inv_diag, &CgOptions::default()).unwrap();
+            preconditioned_cg_with(&a, &b, inv_diag.as_slice(), &CgOptions::default()).unwrap();
         assert!(pcg.solution.approx_eq(&plain.solution, 1e-7));
         assert!(pcg.iterations <= plain.iterations);
     }
 
     #[test]
-    fn preconditioned_zero_rhs_short_circuits() {
+    fn rejects_bad_preconditioner_len() {
         let a = Matrix::identity(3);
-        let out = preconditioned_conjugate_gradient(
-            &a,
-            &Vector::zeros(3),
-            &[1.0; 3],
-            &CgOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.solution, Vector::zeros(3));
-        assert_eq!(out.iterations, 0);
-    }
-
-    #[test]
-    fn preconditioned_rejects_bad_preconditioner_len() {
-        let a = Matrix::identity(3);
-        let err = preconditioned_conjugate_gradient(
+        let err = preconditioned_cg_with(
             &a,
             &Vector::ones(3),
-            &[1.0; 2],
+            [1.0; 2].as_slice(),
             &CgOptions::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, Error::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn preconditioned_detects_indefinite_matrix() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
-        let b = Vector::from(vec![0.0, 1.0]);
-        assert!(
-            preconditioned_conjugate_gradient(&a, &b, &[1.0, 1.0], &CgOptions::default()).is_err()
-        );
+        assert!(matches!(
+            err,
+            Error::DimensionMismatch {
+                operation: "preconditioned_cg_with preconditioner",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -456,7 +349,7 @@ mod tests {
             }
         });
         let b = Vector::from_fn(n, |i| (i as f64 / n as f64).sin());
-        let out = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let out = plain_cg(&a, &b, &CgOptions::default()).unwrap();
         let exact = crate::lu::solve(&a, &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-7));
     }

@@ -6,9 +6,9 @@
 //! contract behind one object-safe trait, implemented by the dense direct
 //! backends ([`Cholesky`], [`Lu`]), by [`PrecondCg`] — a preconditioned
 //! conjugate-gradient backend that keeps sparse systems in CSR form and
-//! pairs them with a pluggable [`crate::Preconditioner`] (Jacobi,
-//! block-Jacobi, or incomplete Cholesky) — and by [`crate::AmgCg`], an
-//! algebraic-multigrid V-cycle PCG for the largest graph Laplacians.
+//! pairs them with a pluggable [`crate::Preconditioner`] (Jacobi or
+//! incomplete Cholesky) — and by [`crate::AmgCg`], an algebraic-multigrid
+//! V-cycle PCG for the largest graph Laplacians.
 //! [`SolverPolicy`] picks among them from size, symmetry, nonzero density,
 //! and bandwidth, so callers can stay representation-agnostic.
 
@@ -19,7 +19,7 @@ use crate::error::{Error, Result};
 use crate::lu::Lu;
 use crate::matrix::Matrix;
 use crate::ops::LinearOperator;
-use crate::precond::{Precond, PrecondKind, DEFAULT_BLOCK_DIM};
+use crate::precond::{Precond, PrecondKind};
 use crate::sparse::CsrMatrix;
 use crate::strict;
 use crate::vector::{dot_slices, Vector};
@@ -147,9 +147,6 @@ pub enum BackendKind {
     /// Jacobi-preconditioned conjugate gradient over a (usually sparse)
     /// operator; SPD systems too large or too sparse to factor densely.
     SparseCg,
-    /// Block-Jacobi-preconditioned CG: dense Cholesky factors of
-    /// fixed-width diagonal blocks strengthen the Jacobi scaling.
-    SparseBlockJacobiCg,
     /// Incomplete-Cholesky IC(0)-preconditioned CG: a zero-fill factor on
     /// the pattern of `tril(A)` — exact on banded systems, and the default
     /// iterative choice for sparse SPD systems.
@@ -166,7 +163,6 @@ impl BackendKind {
             BackendKind::DenseCholesky => "dense-cholesky",
             BackendKind::DenseLu => "dense-lu",
             BackendKind::SparseCg => "sparse-cg",
-            BackendKind::SparseBlockJacobiCg => "sparse-block-jacobi-cg",
             BackendKind::SparseIcCg => "sparse-ic-cg",
             BackendKind::Amg => "amg",
         }
@@ -176,10 +172,7 @@ impl BackendKind {
     pub fn is_iterative(self) -> bool {
         matches!(
             self,
-            BackendKind::SparseCg
-                | BackendKind::SparseBlockJacobiCg
-                | BackendKind::SparseIcCg
-                | BackendKind::Amg
+            BackendKind::SparseCg | BackendKind::SparseIcCg | BackendKind::Amg
         )
     }
 }
@@ -385,8 +378,8 @@ impl LinearOperator for ShardedCgSystem<'_> {
 /// Preconditioned conjugate-gradient backend.
 ///
 /// "Factoring" validates the system and builds the chosen
-/// [`PrecondKind`] (Jacobi diagonal scaling by default, block-Jacobi, or
-/// incomplete Cholesky IC(0)); every [`PrecondCg::solve`] call then runs
+/// [`PrecondKind`] (Jacobi diagonal scaling by default, or incomplete
+/// Cholesky IC(0)); every [`PrecondCg::solve`] call then runs
 /// [`preconditioned_cg_with`] against the stored operator. The system must
 /// be symmetric positive definite — CG reports [`Error::NotConverged`]
 /// otherwise. The most recent solve's iteration count and residual are
@@ -417,15 +410,6 @@ impl Clone for PrecondCg {
     }
 }
 
-/// The pre-PR-9 name of [`PrecondCg`], from before preconditioners were
-/// pluggable. The alias still builds the Jacobi preconditioner it always
-/// did (that is [`PrecondCg::factor_dense`]'s / `factor_sparse`'s default).
-#[deprecated(
-    since = "0.10.0",
-    note = "renamed to PrecondCg; Jacobi is now one PrecondKind among several"
-)]
-pub type JacobiCg = PrecondCg;
-
 impl PrecondCg {
     /// Builds the iterative backend around a dense system with the
     /// historical Jacobi (diagonal) preconditioner.
@@ -446,7 +430,7 @@ impl PrecondCg {
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal, indefinite block, IC(0) breakdown).
+    ///   built (non-positive diagonal or IC(0) breakdown).
     pub fn factor_dense_with(a: &Matrix, kind: PrecondKind, options: CgOptions) -> Result<Self> {
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
@@ -489,7 +473,7 @@ impl PrecondCg {
     ///
     /// * [`Error::NotSquare`] when `a` is not square.
     /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal, indefinite block, IC(0) breakdown).
+    ///   built (non-positive diagonal or IC(0) breakdown).
     /// deterministic
     pub fn factor_sparse_with(
         a: &CsrMatrix,
@@ -626,7 +610,6 @@ impl Factorization for PrecondCg {
     fn kind(&self) -> BackendKind {
         match self.precond {
             Precond::Jacobi(_) => BackendKind::SparseCg,
-            Precond::BlockJacobi(_) => BackendKind::SparseBlockJacobiCg,
             Precond::Ic0(_) => BackendKind::SparseIcCg,
         }
     }
@@ -736,11 +719,6 @@ pub enum SparseStrategy {
     Auto,
     /// Always plain Jacobi (diagonal) PCG — the pre-PR-9 behavior.
     Jacobi,
-    /// Always block-Jacobi PCG with the given block width.
-    BlockJacobi {
-        /// Rows per diagonal block.
-        block_dim: usize,
-    },
     /// Always incomplete-Cholesky IC(0) PCG.
     Ic0,
     /// Always algebraic multigrid with the given hierarchy options (the
@@ -887,7 +865,6 @@ impl SolverPolicy {
                 }
             }
             SparseStrategy::Jacobi => BackendKind::SparseCg,
-            SparseStrategy::BlockJacobi { .. } => BackendKind::SparseBlockJacobiCg,
             SparseStrategy::Ic0 => BackendKind::SparseIcCg,
             SparseStrategy::Amg(_) => BackendKind::Amg,
         }
@@ -930,10 +907,10 @@ impl SolverPolicy {
     /// Builds the iterative backend [`SolverPolicy::select_iterative`]
     /// picked for a CSR system.
     ///
-    /// IC(0) and block-Jacobi can break down on SPD systems that are far
-    /// from diagonally dominant even though the exact factorization
-    /// exists; in that case the policy falls back to the always-buildable
-    /// Jacobi preconditioner instead of failing the solve. The fallback
+    /// IC(0) can break down on SPD systems that are far from diagonally
+    /// dominant even though the exact factorization exists; in that case
+    /// the policy falls back to the always-buildable Jacobi preconditioner
+    /// instead of failing the solve. The fallback
     /// depends only on the matrix values, never on timing or thread count.
     fn factor_iterative(&self, a: &CsrMatrix) -> Result<SolverBackend> {
         match self.select_iterative(a.rows(), a.bandwidth()) {
@@ -950,17 +927,8 @@ impl SolverPolicy {
                 ))
             }
             kind => {
-                let precond_kind = match (&kind, &self.sparse) {
-                    (BackendKind::SparseCg, _) => PrecondKind::Jacobi,
-                    (
-                        BackendKind::SparseBlockJacobiCg,
-                        SparseStrategy::BlockJacobi { block_dim },
-                    ) => PrecondKind::BlockJacobi {
-                        block_dim: *block_dim,
-                    },
-                    (BackendKind::SparseBlockJacobiCg, _) => PrecondKind::BlockJacobi {
-                        block_dim: DEFAULT_BLOCK_DIM,
-                    },
+                let precond_kind = match kind {
+                    BackendKind::SparseCg => PrecondKind::Jacobi,
                     _ => PrecondKind::Ic0,
                 };
                 let jacobi = matches!(precond_kind, PrecondKind::Jacobi);
@@ -1076,12 +1044,6 @@ mod tests {
         let lu = Lu::factor(&a).unwrap();
         let cg = PrecondCg::factor_dense(&a, CgOptions::default()).unwrap();
         let ic = PrecondCg::factor_dense_with(&a, PrecondKind::Ic0, CgOptions::default()).unwrap();
-        let block = PrecondCg::factor_dense_with(
-            &a,
-            PrecondKind::BlockJacobi { block_dim: 4 },
-            CgOptions::default(),
-        )
-        .unwrap();
         let amg =
             AmgCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), AmgOptions::default()).unwrap();
         for backend in [
@@ -1089,7 +1051,6 @@ mod tests {
             SolverBackend::Lu(lu),
             SolverBackend::Cg(cg),
             SolverBackend::Cg(ic),
-            SolverBackend::Cg(block),
             SolverBackend::Amg(amg),
         ] {
             let x = backend.solve(&b).unwrap();
@@ -1161,16 +1122,6 @@ mod tests {
             PrecondCg::factor_sparse(&CsrMatrix::zeros(2, 3), CgOptions::default()),
             Err(Error::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_jacobi_cg_alias_still_resolves() {
-        let a = spd_sample(6);
-        let f = JacobiCg::factor_dense(&a, CgOptions::default()).unwrap();
-        assert_eq!(f.kind(), BackendKind::SparseCg);
-        let x = f.solve(&rhs(6)).unwrap();
-        assert!(f.residual(&x, &rhs(6)).unwrap() < 1e-8);
     }
 
     #[test]
@@ -1281,10 +1232,6 @@ mod tests {
             .unwrap();
         for (strategy, expected) in [
             (SparseStrategy::Jacobi, BackendKind::SparseCg),
-            (
-                SparseStrategy::BlockJacobi { block_dim: 16 },
-                BackendKind::SparseBlockJacobiCg,
-            ),
             (SparseStrategy::Ic0, BackendKind::SparseIcCg),
             (SparseStrategy::Amg(AmgOptions::default()), BackendKind::Amg),
         ] {

@@ -12,12 +12,14 @@
 //!   systems (Eq. 4 of the paper).
 //! * [`Cholesky`] — for the symmetric positive-definite systems that both
 //!   criteria produce on connected graphs (Eq. 5).
-//! * [`conjugate_gradient`] and the stationary solvers in [`stationary`] —
-//!   matrix-free backends behind the [`LinearOperator`] trait.
+//! * [`preconditioned_cg_with`] and the stationary solvers in
+//!   [`stationary`] — matrix-free backends behind the [`LinearOperator`]
+//!   trait.
 //! * [`CsrMatrix`] — compressed sparse rows for kNN / ε-threshold graphs.
 //! * [`Factorization`] / [`SolverPolicy`] — the unified backend layer:
-//!   factor once (Cholesky, LU, or Jacobi-preconditioned CG), solve many,
-//!   with auto-selection from size, symmetry, and nonzero density.
+//!   factor once (Cholesky, LU, or CG preconditioned by Jacobi, IC(0) or
+//!   AMG), solve many, with auto-selection from size, symmetry, nonzero
+//!   density, and bandwidth.
 //! * [`BlockPartition`] — the labeled/unlabeled 2×2 split the paper's
 //!   derivation is written in.
 //!
@@ -61,15 +63,10 @@ mod vector;
 
 pub use amg::{AmgCg, AmgOptions};
 pub use blocks::BlockPartition;
-pub use cg::{
-    conjugate_gradient, preconditioned_cg_with, preconditioned_conjugate_gradient, CgOptions,
-    CgOutcome,
-};
+pub use cg::{preconditioned_cg_with, CgOptions, CgOutcome};
 pub use cholesky::{is_positive_definite, Cholesky};
 pub use eigen::{symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::{Error, Result};
-#[allow(deprecated)]
-pub use factor::JacobiCg;
 pub use factor::{
     BackendKind, CgSystem, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
     SparseStrategy,
@@ -77,9 +74,7 @@ pub use factor::{
 pub use lu::{inverse, solve, solve_matrix, Lu};
 pub use matrix::Matrix;
 pub use ops::{DiagonalOperator, LinearOperator, ShiftedOperator, SumOperator};
-pub use precond::{
-    BlockJacobiPrecond, Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner, DEFAULT_BLOCK_DIM,
-};
+pub use precond::{Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner};
 pub use sparse::{CsrMatrix, CsrRowIter};
 pub use vector::Vector;
 

@@ -8,7 +8,7 @@
 use gssl_linalg::float::is_exactly_zero;
 use gssl_linalg::stationary::{gauss_seidel, jacobi, IterationOptions};
 use gssl_linalg::{
-    conjugate_gradient, symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix,
+    preconditioned_cg_with, symmetric_eigen, BlockPartition, CgOptions, Cholesky, CsrMatrix,
     EigenOptions, Lu, Matrix, Vector,
 };
 use rand::rngs::StdRng;
@@ -154,7 +154,7 @@ fn all_direct_and_iterative_solvers_agree() {
         let b = vector(DIM, rng);
         let lu = Lu::factor(&a).unwrap().solve(&b).unwrap();
         let chol = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let cg = conjugate_gradient(&a, &b, &CgOptions::default())
+        let cg = preconditioned_cg_with(&a, &b, [1.0; DIM].as_slice(), &CgOptions::default())
             .unwrap()
             .solution;
         let iter_opts = IterationOptions {

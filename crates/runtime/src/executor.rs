@@ -18,8 +18,8 @@ use std::ops::Range;
 /// serving.
 ///
 /// `Sequential` runs every batch on the calling thread with zero
-/// synchronization; `Pool` shards batches across a scoped
-/// [`ThreadPool`]. Both produce bit-identical results for deterministic
+/// synchronization; `Pool` shards batches across the crate's scoped
+/// worker pool. Both produce bit-identical results for deterministic
 /// closures because items are computed independently and reassembled in
 /// input order.
 ///
@@ -94,7 +94,9 @@ impl Executor {
     }
 
     /// Applies `f(index, &item)` to every item and returns the results in
-    /// input order; see [`ThreadPool::map`] for the parallel protocol.
+    /// input order. In parallel, workers claim contiguous chunks of the
+    /// index space through one atomic cursor (the protocol [`crate::sim`]
+    /// enumerates) and results are reassembled in input order.
     ///
     /// # Errors
     ///
@@ -116,8 +118,8 @@ impl Executor {
     }
 
     /// Applies `f(index, &item)` to every item with width-1 claims — one
-    /// task per claim — and returns the results in input order; see
-    /// [`ThreadPool::map_tasks`]. Use this instead of [`Executor::map`]
+    /// task per claim — and returns the results in input order, under the
+    /// same protocol as [`Executor::map`]. Use this instead of [`Executor::map`]
     /// when the batch is small and per-item cost is wildly uneven (one
     /// factorization per graph shard), so slow tasks never queue behind a
     /// chunk-mate.
@@ -142,8 +144,10 @@ impl Executor {
     }
 
     /// Applies `f(start..end)` to `width`-sized ranges of `0..len` and
-    /// concatenates the results in ascending range order; see
-    /// [`ThreadPool::map_chunks`] for the contract.
+    /// concatenates the results in ascending range order. Each closure call
+    /// must return exactly one result per index of its range; the claim
+    /// stride is `width`, the configuration
+    /// [`crate::sim::enumerate_schedules_with_width`] enumerates.
     ///
     /// # Errors
     ///
@@ -164,7 +168,8 @@ impl Executor {
     }
 
     /// Runs `f(start_index, chunk)` over disjoint `width`-sized mutable
-    /// chunks of `data`; see [`ThreadPool::for_each_chunk_mut`].
+    /// chunks of `data`, in parallel under the same chunk-claim protocol
+    /// as [`Executor::map_chunks`].
     ///
     /// # Errors
     ///

@@ -15,7 +15,7 @@
 //! 2. **One proof.** The [`sim`] module exhaustively enumerates every
 //!    bounded interleaving of the claim/publish protocol (a mini-loom),
 //!    which is what justifies the single `Ordering::Relaxed` atomic in
-//!    [`pool`].
+//!    the crate-private worker pool behind [`Executor::Pool`].
 //! 3. **One knob.** The [`Executor`] handle ([`Executor::Sequential`] by
 //!    default, [`Executor::Pool`] to opt in) threads through every layer
 //!    via `with_executor(..)` builders, so call sites pick a worker count
@@ -33,11 +33,11 @@
 pub mod error;
 /// The [`Executor`] handle: sequential by default, pooled on request.
 pub mod executor;
-/// The scoped worker pool and its chunk-claim protocol.
-pub mod pool;
+/// The scoped worker pool and its chunk-claim protocol (reached through
+/// [`Executor`] only).
+mod pool;
 /// Exhaustive interleaving enumeration for the claim protocol (mini-loom).
 pub mod sim;
 
 pub use error::{Error, Result};
 pub use executor::Executor;
-pub use pool::ThreadPool;

@@ -122,17 +122,10 @@ fn check_chunk_len(start: usize, end: usize, got: usize) -> Result<(), Error> {
 /// The pool owns no threads between calls: each batch primitive opens a
 /// `std::thread::scope`, spawns up to `workers` threads for the duration
 /// of the batch and joins them before returning. This keeps the type
-/// trivially `Send + Sync` and free of shutdown protocols.
-///
-/// ```
-/// use gssl_runtime::{Error, ThreadPool};
-/// # fn main() -> Result<(), Error> {
-/// let pool = ThreadPool::new(4)?;
-/// let squares = pool.map(&[1.0, 2.0, 3.0], |_, x| Ok::<f64, Error>(x * x))?;
-/// assert_eq!(squares, vec![1.0, 4.0, 9.0]);
-/// # Ok(())
-/// # }
-/// ```
+/// trivially `Send + Sync` and free of shutdown protocols. The type is
+/// `pub` only so that the public [`crate::Executor::Pool`] variant can
+/// carry it; its module is private, so callers outside the crate cannot
+/// name it and reach the pool through [`crate::Executor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPool {
     workers: usize,

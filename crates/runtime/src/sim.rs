@@ -1,5 +1,5 @@
 //! Deterministic interleaving harness for the chunk-claim protocol of
-//! [`crate::ThreadPool`] (mini-loom).
+//! the worker pool behind [`crate::Executor::Pool`] (mini-loom).
 //!
 //! `ThreadPool::map` and `ThreadPool::map_chunks` coordinate their workers
 //! through exactly two shared objects: an atomic cursor advanced by one
@@ -238,7 +238,7 @@ impl Sim {
 
 /// Exhaustively enumerates every interleaving of claim/publish steps for a
 /// batch of `len` items on a pool of `workers` threads at the production
-/// [`ThreadPool::map`](crate::ThreadPool::map) chunk width, checking the
+/// [`Executor::map`](crate::Executor::map) chunk width, checking the
 /// protocol invariants in each one. Returns coverage statistics, or a
 /// description of the first violated invariant (including the offending
 /// schedule as a sequence of worker indices).
@@ -261,7 +261,7 @@ pub fn enumerate_schedules(len: usize, workers: usize) -> Result<ScheduleReport,
 
 /// Same exhaustive search as [`enumerate_schedules`], but at a
 /// caller-chosen chunk `width` — the configuration exercised by
-/// [`ThreadPool::map_chunks`](crate::ThreadPool::map_chunks), where the
+/// [`Executor::map_chunks`](crate::Executor::map_chunks), where the
 /// caller (not `chunk_size`) picks the claim stride.
 ///
 /// # Errors

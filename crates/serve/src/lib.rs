@@ -93,11 +93,3 @@ pub use shard::{Shard, ShardPlan};
 pub use sharded::ShardedEngine;
 pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use types::{Prediction, QueryPoint};
-
-/// Scoped thread pool, re-exported from [`gssl_runtime`] (where it now
-/// lives).
-#[deprecated(
-    since = "0.2.0",
-    note = "use gssl_runtime::ThreadPool (or gssl_serve::Executor) directly"
-)]
-pub type ThreadPool = gssl_runtime::ThreadPool;

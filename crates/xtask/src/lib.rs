@@ -18,7 +18,10 @@
 //! * no bare `f64`/`f32` `==` / `!=` comparisons; exact sentinels go
 //!   through named helpers (`is_exactly_zero` / `is_exactly_one`);
 //! * every `pub enum …Error` stays `#[non_exhaustive]` with documented
-//!   variants.
+//!   variants;
+//! * no `#[deprecated]` attribute in any crate's `src` (including the
+//!   exempt shim, bench and xtask crates): a superseded API is deleted,
+//!   not carried.
 //!
 //! Justified exceptions need an inline `// lint: allow(<rule>)` marker
 //! *and* a registration with a reason in `crates/xtask/allow.list`;
@@ -121,6 +124,7 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
                 rules::check_missing_docs(&ctx, &mut outcome);
                 rules::check_error_enum(&ctx, &mut outcome);
             }
+            rules::check_no_deprecated(&ctx, &mut outcome);
             rules::collect_inline_allows(&ctx, &mut outcome);
         }
     }

@@ -25,6 +25,9 @@ pub enum Rule {
     /// `pub enum ...Error` must be `#[non_exhaustive]` with documented
     /// variants.
     ErrorEnum,
+    /// No `#[deprecated]` items: a superseded API is deleted and its
+    /// migration recorded in the changelog, not carried as a shim.
+    NoDeprecated,
     /// An inline `lint: allow(...)` marker has no allowlist registration.
     AllowUnlisted,
     /// An allowlist registration matches no inline marker.
@@ -41,6 +44,7 @@ impl Rule {
             Rule::NoPanic => "no_panic",
             Rule::FloatEq => "float_eq",
             Rule::ErrorEnum => "error_enum",
+            Rule::NoDeprecated => "no_deprecated",
             Rule::AllowUnlisted => "allow_unlisted",
             Rule::AllowStale => "allow_stale",
         }
@@ -55,6 +59,7 @@ impl Rule {
             "no_panic" => Some(Rule::NoPanic),
             "float_eq" => Some(Rule::FloatEq),
             "error_enum" => Some(Rule::ErrorEnum),
+            "no_deprecated" => Some(Rule::NoDeprecated),
             "allow_unlisted" => Some(Rule::AllowUnlisted),
             "allow_stale" => Some(Rule::AllowStale),
             _ => None,
@@ -174,6 +179,26 @@ pub fn check_no_panic(ctx: &FileContext<'_>, out: &mut FileOutcome) {
                 );
                 break;
             }
+        }
+    }
+}
+
+/// Scans for `#[deprecated]` attributes (any form) in non-test code.
+pub fn check_no_deprecated(ctx: &FileContext<'_>, out: &mut FileOutcome) {
+    for (i, line) in ctx.source.lines.iter().enumerate() {
+        if ctx.source.test_mask[i] {
+            continue;
+        }
+        if line.code.contains("#[deprecated") {
+            report(
+                ctx,
+                out,
+                i,
+                Rule::NoDeprecated,
+                "`#[deprecated]` shim; delete the item and record its replacement in \
+                 CHANGELOG.md"
+                    .to_owned(),
+            );
         }
     }
 }
@@ -511,6 +536,7 @@ mod tests {
         check_float_eq(&ctx, &mut out);
         check_missing_docs(&ctx, &mut out);
         check_error_enum(&ctx, &mut out);
+        check_no_deprecated(&ctx, &mut out);
         collect_inline_allows(&ctx, &mut out);
         out
     }
@@ -607,6 +633,34 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn flags_deprecated_attributes_outside_tests() {
+        let count = |out: &FileOutcome| {
+            out.violations
+                .iter()
+                .filter(|v| v.rule == Rule::NoDeprecated)
+                .count()
+        };
+        let src = "/// doc\n#[deprecated(\n    since = \"0.5.0\",\n    \
+                   note = \"use the other one\"\n)]\npub struct S;\n\
+                   /// doc\n#[deprecated]\npub fn f() {}\n\
+                   /// doc\n#[deprecated = \"gone\"]\npub type T = S;";
+        let out = run_all("x.rs", src);
+        assert_eq!(count(&out), 3);
+        assert_eq!(
+            out.violations
+                .iter()
+                .filter(|v| v.rule == Rule::NoDeprecated)
+                .map(|v| v.line)
+                .collect::<Vec<_>>(),
+            vec![2, 8, 11]
+        );
+        // Mentions in docs, strings and test modules are not attributes.
+        let benign = "/// `#[deprecated]` is banned\nfn f() { let _ = \"#[deprecated]\"; }\n\
+                      #[cfg(test)]\nmod tests {\n    #[deprecated]\n    fn old() {}\n}";
+        assert_eq!(count(&run_all("x.rs", benign)), 0);
     }
 
     #[test]

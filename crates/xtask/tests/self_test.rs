@@ -236,8 +236,8 @@ fn analyze_real_workspace_is_baseline_clean() {
     // Every committed baseline entry must still be live — the ratchet
     // reports both regressions (counts up) and staleness (counts down).
     assert_eq!(
-        report.suppressed, 115,
-        "baseline drifted from the committed 115 entries"
+        report.suppressed, 113,
+        "baseline drifted from the committed 113 entries"
     );
 }
 

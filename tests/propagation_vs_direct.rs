@@ -5,6 +5,7 @@
 use gssl::{HardCriterion, HardSolver, LabelPropagation, Problem, SweepKind};
 use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{affinity::affinity_matrix, knn_graph, Kernel, Symmetrization};
+use gssl_linalg::{SolverPolicy, SparseStrategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,7 +25,13 @@ fn all_backends_agree_on_two_moons() {
     let reference = HardCriterion::new().fit(&problem).expect("cholesky");
     let others = [
         HardCriterion::new().solver(HardSolver::Lu),
-        HardCriterion::new().solver(HardSolver::ConjugateGradient(Default::default())),
+        // Jacobi-preconditioned CG at every size.
+        HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
+            direct_dim_cutoff: 0,
+            density_threshold: 1.0,
+            sparse: SparseStrategy::Jacobi,
+            ..SolverPolicy::default()
+        })),
         HardCriterion::new().solver(HardSolver::Propagation(SweepKind::Simultaneous)),
         HardCriterion::new().solver(HardSolver::Propagation(SweepKind::InPlace)),
     ];

@@ -7,7 +7,7 @@ use gssl_datasets::synthetic::two_moons;
 use gssl_graph::{epsilon_graph_with, knn_graph, knn_graph_with, Kernel, Symmetrization};
 use gssl_index::{self_k_nearest_batch, self_within_radius_batch, NeighborSearch, SpatialIndex};
 use gssl_linalg::float::is_exactly_zero;
-use gssl_linalg::{CgOptions, CsrMatrix, Matrix, SolverPolicy};
+use gssl_linalg::{CgOptions, CsrMatrix, Matrix, SolverPolicy, SparseStrategy};
 use gssl_runtime::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,8 +25,15 @@ fn moons_sparse(total: usize, k: usize) -> (Problem, Vec<bool>) {
     )
 }
 
+/// Jacobi-preconditioned CG over the CSR system at every size.
 fn cg_solver(options: CgOptions) -> HardCriterion {
-    HardCriterion::new().solver(HardSolver::ConjugateGradient(options))
+    HardCriterion::new().solver(HardSolver::Auto(SolverPolicy {
+        direct_dim_cutoff: 0,
+        density_threshold: 1.0,
+        sparse: SparseStrategy::Jacobi,
+        cg: options,
+        ..SolverPolicy::default()
+    }))
 }
 
 #[test]
