@@ -11,6 +11,7 @@
 //! per system). The process exits nonzero when any residual exceeds the
 //! acceptance threshold, so the script gate can use it as a smoke test.
 
+use gssl_bench::json::{Json, Precision::ShortestExp};
 use gssl_linalg::{CsrMatrix, Factorization, Matrix, SolverPolicy, Vector};
 use std::process::ExitCode;
 
@@ -128,16 +129,18 @@ fn main() -> ExitCode {
 
     let worst = cases.iter().fold(0.0f64, |acc, c| acc.max(c.residual));
     if json {
-        let objects: Vec<String> = cases
+        let objects: Vec<Json> = cases
             .iter()
             .map(|c| {
-                format!(
-                    "  {{\"system\": \"{}\", \"backend\": \"{}\", \"dim\": {}, \"nnz\": {}, \"residual\": {:e}}}",
-                    c.name, c.selected, c.dim, c.nnz, c.residual
-                )
+                Json::object()
+                    .field("system", c.name)
+                    .field("backend", c.selected)
+                    .field("dim", c.dim)
+                    .field("nnz", c.nnz)
+                    .field("residual", (c.residual, ShortestExp))
             })
             .collect();
-        println!("[\n{}\n]", objects.join(",\n"));
+        print!("{}", Json::Array(objects).to_report());
     } else {
         println!("== solver-policy selection demo ==");
         println!(

@@ -21,6 +21,7 @@
 //! across worker counts.
 
 use gssl::{HardCriterion, HardSolver, Problem};
+use gssl_bench::json::{Json, Precision::Fixed};
 use gssl_graph::{knn_graph_with, Kernel, Symmetrization};
 use gssl_index::{k_nearest_batch, self_k_nearest_batch, BruteForce, NeighborSearch, SpatialIndex};
 use gssl_linalg::{CgOptions, Matrix, SolverPolicy};
@@ -101,37 +102,28 @@ struct SizeReport {
 }
 
 impl SizeReport {
-    fn to_json(&self) -> String {
-        let workers = match self.workers_identical {
-            Some(v) => v.to_string(),
-            None => "null".to_owned(),
-        };
-        format!(
-            "  {{\"n\": {}, \"bandwidth\": {:.6}, \"labeled\": {}, \
-             \"index_backend\": \"{}\", \"index_build_seconds\": {:.6}, \
-             \"batch_queries\": {QUERY_COUNT}, \"batch_seconds\": {:.6}, \
-             \"queries_per_sec\": {:.1}, \"query_seconds\": {:.6}, \
-             \"symmetrize_csr_seconds\": {:.6}, \
-             \"graph_nnz\": {}, \"fit_seconds\": {:.6}, \
-             \"score_min\": {:.6}, \"score_max\": {:.6}, \
-             \"oracle_check_queries\": {ORACLE_QUERIES}, \
-             \"oracle_identical\": {}, \"workers_identical\": {}}}",
-            self.n,
-            self.bandwidth,
-            self.labeled,
-            self.index_backend,
-            self.index_build_seconds,
-            self.batch_seconds,
-            self.queries_per_sec,
-            self.query_seconds,
-            self.symmetrize_csr_seconds,
-            self.graph_nnz,
-            self.fit_seconds,
-            self.score_min,
-            self.score_max,
-            self.oracle_identical,
-            workers,
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("n", self.n)
+            .field("bandwidth", (self.bandwidth, Fixed(6)))
+            .field("labeled", self.labeled)
+            .field("index_backend", self.index_backend)
+            .field("index_build_seconds", (self.index_build_seconds, Fixed(6)))
+            .field("batch_queries", QUERY_COUNT)
+            .field("batch_seconds", (self.batch_seconds, Fixed(6)))
+            .field("queries_per_sec", (self.queries_per_sec, Fixed(1)))
+            .field("query_seconds", (self.query_seconds, Fixed(6)))
+            .field(
+                "symmetrize_csr_seconds",
+                (self.symmetrize_csr_seconds, Fixed(6)),
+            )
+            .field("graph_nnz", self.graph_nnz)
+            .field("fit_seconds", (self.fit_seconds, Fixed(6)))
+            .field("score_min", (self.score_min, Fixed(6)))
+            .field("score_max", (self.score_max, Fixed(6)))
+            .field("oracle_check_queries", ORACLE_QUERIES)
+            .field("oracle_identical", self.oracle_identical)
+            .field("workers_identical", self.workers_identical)
     }
 }
 
@@ -309,18 +301,17 @@ fn main() -> ExitCode {
     let end_to_end_seconds = total_start.elapsed().as_secs_f64();
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let body = reports
-        .iter()
-        .map(SizeReport::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n\"mode\": \"{}\",\n\"host_parallelism\": {host_parallelism},\n\
-         \"dim\": {DIM},\n\"k\": {K},\n\"end_to_end_seconds\": {end_to_end_seconds:.3},\n\
-         \"sizes\": [\n{body}\n]\n}}\n",
-        if ci { "ci" } else { "full" },
-    );
-    std::fs::write(out_path, &json).expect("write scale report");
+    let json = Json::object()
+        .field("mode", if ci { "ci" } else { "full" })
+        .field("host_parallelism", host_parallelism)
+        .field("dim", DIM)
+        .field("k", K)
+        .field("end_to_end_seconds", (end_to_end_seconds, Fixed(3)))
+        .field(
+            "sizes",
+            reports.iter().map(SizeReport::to_json).collect::<Vec<_>>(),
+        );
+    std::fs::write(out_path, json.to_report()).expect("write scale report");
 
     // Exit gates: exactness, never timing. (Per-query latency growing
     // sublinearly is visible in the recorded queries_per_sec column —

@@ -23,6 +23,10 @@
 //!   `admitted + rejected == offered`;
 //! * **snapshot** — restore reproduces the fitted scores bit for bit.
 
+use gssl_bench::json::{
+    Json,
+    Precision::{Fixed, Shortest},
+};
 use gssl_graph::Kernel;
 use gssl_linalg::Matrix;
 use gssl_serve::{
@@ -117,12 +121,9 @@ fn serve_batch(
     }
 }
 
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.9}")
-    } else {
-        "null".to_owned()
-    }
+/// Seconds and ratios print with nine decimals.
+fn f9(x: f64) -> Json {
+    Json::Num(x, Fixed(9))
 }
 
 fn main() -> ExitCode {
@@ -241,33 +242,54 @@ fn main() -> ExitCode {
         .all(|(a, b)| a.to_bits() == b.to_bits());
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let json = format!(
-        "{{\n\"mode\": \"{mode}\",\n\"host_parallelism\": {host_parallelism},\n\
-         \"nodes\": {total},\n\"shards\": {shards},\n\
-         \"arrival_rate_per_s\": {ARRIVAL_RATE},\n\"horizon_s\": {horizon},\n\
-         \"policy\": {{\"max_batch\": {MAX_BATCH}, \"max_delay_s\": {MAX_DELAY}, \"capacity\": {CAPACITY}}},\n\
-         \"offered\": {offered},\n\"admitted\": {admitted},\n\"rejected\": {rejected},\n\
-         \"batches\": {batches},\n\
-         \"occupancy\": {{\"mean\": {mean_occ}, \"max\": {max_occ}}},\n\
-         \"latency_s\": {{\"p50\": {p50j}, \"p99\": {p99j}, \"p999\": {p999j}}},\n\
-         \"mean_batch_service_s\": {mean_svc},\n\
-         \"cold_start\": {{\"refit_s\": {fit}, \"snapshot_s\": {snapj}, \"restore_s\": {restj}, \"snapshot_bytes\": {bytes}}},\n\
-         \"gates\": {{\"agreement\": {agreement}, \"conservation\": {conservation}, \"snapshot_bitwise\": {snapshot_bitwise}}}\n}}\n",
-        mode = if ci { "ci" } else { "full" },
-        shards = engine.n_shards(),
-        batches = served.len(),
-        mean_occ = json_f(mean_occupancy),
-        max_occ = json_f(max_occupancy),
-        p50j = json_f(p50),
-        p99j = json_f(p99),
-        p999j = json_f(p999),
-        mean_svc = json_f(mean_service),
-        fit = json_f(fit_seconds),
-        snapj = json_f(snapshot_seconds),
-        restj = json_f(restore_seconds),
-        bytes = snapshot.len(),
-    );
-    std::fs::write(out_path, &json).expect("write serve traffic report");
+    let json = Json::object()
+        .field("mode", if ci { "ci" } else { "full" })
+        .field("host_parallelism", host_parallelism)
+        .field("nodes", total)
+        .field("shards", engine.n_shards())
+        .field("arrival_rate_per_s", (ARRIVAL_RATE, Shortest))
+        .field("horizon_s", (horizon, Shortest))
+        .field(
+            "policy",
+            Json::object()
+                .field("max_batch", MAX_BATCH)
+                .field("max_delay_s", (MAX_DELAY, Shortest))
+                .field("capacity", CAPACITY),
+        )
+        .field("offered", offered)
+        .field("admitted", admitted)
+        .field("rejected", rejected)
+        .field("batches", served.len())
+        .field(
+            "occupancy",
+            Json::object()
+                .field("mean", f9(mean_occupancy))
+                .field("max", f9(max_occupancy)),
+        )
+        .field(
+            "latency_s",
+            Json::object()
+                .field("p50", f9(p50))
+                .field("p99", f9(p99))
+                .field("p999", f9(p999)),
+        )
+        .field("mean_batch_service_s", f9(mean_service))
+        .field(
+            "cold_start",
+            Json::object()
+                .field("refit_s", f9(fit_seconds))
+                .field("snapshot_s", f9(snapshot_seconds))
+                .field("restore_s", f9(restore_seconds))
+                .field("snapshot_bytes", snapshot.len()),
+        )
+        .field(
+            "gates",
+            Json::object()
+                .field("agreement", agreement)
+                .field("conservation", conservation)
+                .field("snapshot_bitwise", snapshot_bitwise),
+        );
+    std::fs::write(out_path, json.to_report()).expect("write serve traffic report");
 
     if !quiet {
         println!(

@@ -13,13 +13,18 @@
 //! writes `BENCH_solver_ci.json` instead, leaving the committed
 //! crossover record untouched.
 //!
-//! Timing is reported as measured and never gates the exit code. What
-//! gates is what survives any host: every solver's relative residual
-//! must meet [`RESIDUAL_GATE`], and IC(0) PCG must need no more
+//! Each time is the median of [`REPEATS`] factor + solve runs, reported
+//! as measured and never gating the exit code. What gates is what
+//! survives any host: every solver's relative residual must meet
+//! [`RESIDUAL_GATE`], and IC(0) PCG must need no more
 //! iterations than plain Jacobi-CG at every sparse size (a deterministic
 //! property of the preconditioner, not a timing claim). Whether AMG wins
 //! the largest solve on wall clock is recorded in the JSON, not gated.
 
+use gssl_bench::json::{
+    Json,
+    Precision::{Exp, Fixed, ShortestExp},
+};
 use gssl_linalg::{
     AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, PrecondCg, PrecondKind,
     SolverPolicy, Vector,
@@ -37,6 +42,9 @@ const CI_SIDES: [usize; 3] = [8, 16, 24];
 const DENSE_CAP: usize = 2_048;
 /// Iterative tolerance used by every CG-family backend in the sweep.
 const TOLERANCE: f64 = 1e-8;
+/// Timed factor + solve runs per backend and size; the record is their
+/// median, so one scheduler hiccup on a shared host cannot set a row.
+const REPEATS: usize = 5;
 /// Relative-residual exit gate, slack over [`TOLERANCE`] for the final
 /// true residual (CG monitors the preconditioned recurrence residual).
 const RESIDUAL_GATE: f64 = 1e-6;
@@ -105,15 +113,12 @@ struct SolverPoint {
 }
 
 impl SolverPoint {
-    fn to_json(&self) -> String {
-        let iterations = self
-            .iterations
-            .map_or_else(|| "null".to_owned(), |i| i.to_string());
-        format!(
-            "{{\"solver\": \"{}\", \"seconds\": {:.6}, \"iterations\": {iterations}, \
-             \"residual\": {:.3e}}}",
-            self.solver, self.seconds, self.residual
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("solver", self.solver)
+            .field("seconds", (self.seconds, Fixed(6)))
+            .field("iterations", self.iterations)
+            .field("residual", (self.residual, Exp(3)))
     }
 }
 
@@ -128,18 +133,20 @@ struct SizeReport {
 }
 
 impl SizeReport {
-    fn to_json(&self) -> String {
-        let solvers = self
-            .solvers
-            .iter()
-            .map(SolverPoint::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n  ");
-        format!(
-            "{{\"n\": {}, \"side\": {}, \"nnz\": {}, \"bandwidth\": {}, \
-             \"policy\": \"{}\", \"solvers\": [\n  {solvers}\n]}}",
-            self.n, self.side, self.nnz, self.bandwidth, self.policy_choice
-        )
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("n", self.n)
+            .field("side", self.side)
+            .field("nnz", self.nnz)
+            .field("bandwidth", self.bandwidth)
+            .field("policy", self.policy_choice)
+            .field(
+                "solvers",
+                self.solvers
+                    .iter()
+                    .map(SolverPoint::to_json)
+                    .collect::<Vec<_>>(),
+            )
     }
 
     fn point(&self, solver: &str) -> Option<&SolverPoint> {
@@ -154,21 +161,30 @@ fn cg_options() -> CgOptions {
     }
 }
 
-/// Times one factor + solve through a [`Factorization`] backend.
+/// Times [`REPEATS`] factor + solve runs through a [`Factorization`]
+/// backend and reports their median; iterations and residual come from
+/// the last run (every run computes the same bits).
 fn run_backend<F: Factorization>(
     name: &'static str,
-    factor: impl FnOnce() -> F,
+    factor: impl Fn() -> F,
     a: &CsrMatrix,
     b: &Vector,
-    iterations: impl FnOnce(&F) -> Option<usize>,
+    iterations: impl Fn(&F) -> Option<usize>,
 ) -> SolverPoint {
-    let start = Instant::now();
-    let backend = factor();
-    let x = backend.solve(b).expect("solve");
-    let seconds = start.elapsed().as_secs_f64();
+    let mut seconds = Vec::with_capacity(REPEATS);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        let backend = factor();
+        let x = backend.solve(b).expect("solve");
+        seconds.push(start.elapsed().as_secs_f64());
+        last = Some((backend, x));
+    }
+    let (backend, x) = last.expect("REPEATS >= 1");
+    seconds.sort_by(f64::total_cmp);
     SolverPoint {
         solver: name,
-        seconds,
+        seconds: seconds[REPEATS / 2],
         iterations: iterations(&backend),
         residual: relative_residual(a, &x, b),
     }
@@ -197,7 +213,7 @@ fn run_size(side: usize, quiet: bool) -> SizeReport {
     ] {
         solvers.push(run_backend(
             name,
-            || PrecondCg::factor_sparse_with(&a, kind, cg_options()).expect("pcg factor"),
+            || PrecondCg::factor_sparse_with(&a, kind.clone(), cg_options()).expect("pcg factor"),
             &a,
             &b,
             |f| f.last_iterations(),
@@ -273,19 +289,17 @@ fn main() -> ExitCode {
         .expect("at least one solver");
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let body = reports
-        .iter()
-        .map(SizeReport::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n\"mode\": \"{}\",\n\"host_parallelism\": {host_parallelism},\n\
-         \"tolerance\": {TOLERANCE:e},\n\"dense_cap\": {DENSE_CAP},\n\
-         \"largest_solve_winner\": \"{}\",\n\"sizes\": [\n{body}\n]\n}}\n",
-        if ci { "ci" } else { "full" },
-        fastest_large.solver,
-    );
-    std::fs::write(out_path, &json).expect("write solver report");
+    let json = Json::object()
+        .field("mode", if ci { "ci" } else { "full" })
+        .field("host_parallelism", host_parallelism)
+        .field("tolerance", (TOLERANCE, ShortestExp))
+        .field("dense_cap", DENSE_CAP)
+        .field("largest_solve_winner", fastest_large.solver)
+        .field(
+            "sizes",
+            reports.iter().map(SizeReport::to_json).collect::<Vec<_>>(),
+        );
+    std::fs::write(out_path, json.to_report()).expect("write solver report");
 
     // Exit gates: correctness only. Every backend must actually solve
     // the system, and IC(0) must not need more CG iterations than plain

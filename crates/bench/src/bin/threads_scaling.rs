@@ -8,13 +8,15 @@
 //! cargo run --release -p gssl-bench --bin threads_scaling [-- --quiet]
 //! ```
 //!
-//! Timing is reported as measured and never gates the exit code: on a
-//! ci host with a single hardware thread (see `host_parallelism` in the
-//! JSON) every speedup is necessarily ~1×. What gates is the invariant
-//! that survives any machine: every stage's output at 2/4/8 workers must
-//! equal the 1-worker output byte for byte.
+//! Each time is the median of [`REPEATS`] runs, reported as measured and
+//! never gating the exit code: on a ci host with a single hardware thread
+//! (see `host_parallelism` in the JSON) every speedup is necessarily ~1×.
+//! What gates is the invariant that survives any machine: every run's
+//! output at every worker count must equal the 1-worker output byte for
+//! byte.
 
 use gssl::{HardCriterion, Problem, SoftCriterion};
+use gssl_bench::json::{Json, Precision::Fixed};
 use gssl_graph::{Kernel, KernelGraph};
 use gssl_linalg::{Matrix, SolverPolicy};
 use gssl_runtime::Executor;
@@ -23,6 +25,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Timed runs per stage and worker count; the record is their median, so
+/// one scheduler hiccup on a shared host cannot set a row.
+const REPEATS: usize = 5;
 
 /// Assembly workload: points for the dense kernel matrix.
 const ASSEMBLY_NODES: usize = 1100;
@@ -66,8 +71,9 @@ struct Stage {
 }
 
 impl Stage {
-    /// Runs `work` once per worker count, comparing each output against
-    /// the 1-worker reference with `eq`.
+    /// Runs `work` [`REPEATS`] times per worker count and records the
+    /// median time, comparing every output against the first 1-worker
+    /// output with `eq`.
     fn run<R>(
         name: &'static str,
         elements: usize,
@@ -78,19 +84,21 @@ impl Stage {
         let mut reference: Option<R> = None;
         for &workers in &WORKER_COUNTS {
             let executor = Executor::with_workers(workers);
-            let start = Instant::now();
-            let out = work(&executor);
-            let seconds = start.elapsed().as_secs_f64();
-            let bit_identical = match &reference {
-                None => {
-                    reference = Some(out);
-                    true
+            let mut seconds = Vec::with_capacity(REPEATS);
+            let mut bit_identical = true;
+            for _ in 0..REPEATS {
+                let start = Instant::now();
+                let out = work(&executor);
+                seconds.push(start.elapsed().as_secs_f64());
+                match &reference {
+                    None => reference = Some(out),
+                    Some(r) => bit_identical &= eq(r, &out),
                 }
-                Some(r) => eq(r, &out),
-            };
+            }
+            seconds.sort_by(f64::total_cmp);
             samples.push(Sample {
                 workers,
-                seconds,
+                seconds: seconds[REPEATS / 2],
                 bit_identical,
             });
         }
@@ -118,28 +126,26 @@ impl Stage {
         self.samples.iter().all(|s| s.bit_identical)
     }
 
-    fn to_json(&self) -> String {
-        let samples: Vec<String> = self
+    fn to_json(&self) -> Json {
+        let samples: Vec<Json> = self
             .samples
             .iter()
             .map(|s| {
-                format!(
-                    "    {{\"workers\": {}, \"seconds\": {:.6}, \"speedup_vs_1\": {:.3}, \
-                     \"throughput_elems_per_sec\": {:.1}, \"bit_identical\": {}}}",
-                    s.workers,
-                    s.seconds,
-                    self.samples[0].seconds / s.seconds.max(1e-12),
-                    self.throughput(s),
-                    s.bit_identical
-                )
+                Json::object()
+                    .field("workers", s.workers)
+                    .field("seconds", (s.seconds, Fixed(6)))
+                    .field(
+                        "speedup_vs_1",
+                        (self.samples[0].seconds / s.seconds.max(1e-12), Fixed(3)),
+                    )
+                    .field("throughput_elems_per_sec", (self.throughput(s), Fixed(1)))
+                    .field("bit_identical", s.bit_identical)
             })
             .collect();
-        format!(
-            "  {{\"stage\": \"{}\", \"elements\": {}, \"samples\": [\n{}\n  ]}}",
-            self.name,
-            self.elements,
-            samples.join(",\n")
-        )
+        Json::object()
+            .field("stage", self.name)
+            .field("elements", self.elements)
+            .field("samples", samples)
     }
 }
 
@@ -222,14 +228,13 @@ fn main() -> ExitCode {
     let stages = [assembly, hard_fit, soft_fit, predict_batch];
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    let body = stages
-        .iter()
-        .map(Stage::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json =
-        format!("{{\n\"host_parallelism\": {host_parallelism},\n\"stages\": [\n{body}\n]\n}}\n");
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
+    let json = Json::object()
+        .field("host_parallelism", host_parallelism)
+        .field(
+            "stages",
+            stages.iter().map(Stage::to_json).collect::<Vec<_>>(),
+        );
+    std::fs::write("BENCH_parallel.json", json.to_report()).expect("write BENCH_parallel.json");
 
     if !quiet {
         println!("== threads_scaling: deterministic parallelism across the stack ==");

@@ -8,7 +8,7 @@ use crate::runner::average_over_repetitions;
 use gssl::{HardCriterion, Problem, SoftCriterion};
 use gssl_datasets::coil::SyntheticCoil;
 use gssl_datasets::synthetic::{paper_dataset, PaperModel, PAPER_DIM};
-use gssl_graph::{affinity::affinity_from_distances, affinity::pairwise_squared_distances, Kernel};
+use gssl_graph::{affinity::affinity_matrix, Kernel};
 use gssl_stats::roc::auc;
 use gssl_stats::split::KFold;
 use rand::rngs::StdRng;
@@ -89,8 +89,7 @@ impl SyntheticConfig {
 
         // One affinity matrix per repetition, shared across the λ sweep.
         let h = self.bandwidth();
-        let d2 = pairwise_squared_distances(&ssl.inputs)?;
-        let w = affinity_from_distances(&d2, Kernel::Gaussian, h)?;
+        let w = affinity_matrix(&ssl.inputs, Kernel::Gaussian, h)?;
         let problem = Problem::new(w, ssl.labels.clone())?;
 
         let mut rmses = Vec::with_capacity(self.lambdas.len());
@@ -204,7 +203,7 @@ impl CoilConfig {
         // The paper's kernel: Gaussian RBF with σ² the median pairwise
         // squared distance.
         let sigma = gssl_graph::bandwidth::median_heuristic(dataset.inputs())?;
-        let d2 = pairwise_squared_distances(dataset.inputs())?;
+        let w_all = affinity_matrix(dataset.inputs(), Kernel::Gaussian, sigma)?;
 
         let kfold = KFold::new(ratio.fold_count())?;
         let splits = if ratio.train_is_single_fold() {
@@ -216,16 +215,15 @@ impl CoilConfig {
         let mut auc_sums = vec![0.0; self.lambdas.len()];
         for split in &splits {
             let ssl = dataset.arrange(&split.train)?;
-            // Re-order the cached distance matrix to the arranged order.
+            // Re-order the cached affinity matrix to the arranged order.
             let order = &ssl.original_order;
             let total = order.len();
-            let mut d2_arranged = gssl_linalg::Matrix::zeros(total, total);
+            let mut w = gssl_linalg::Matrix::zeros(total, total);
             for (i, &oi) in order.iter().enumerate() {
                 for (j, &oj) in order.iter().enumerate() {
-                    d2_arranged.set(i, j, d2.get(oi, oj));
+                    w.set(i, j, w_all.get(oi, oj));
                 }
             }
-            let w = affinity_from_distances(&d2_arranged, Kernel::Gaussian, sigma)?;
             let problem = Problem::new(w, ssl.labels.clone())?;
             let truth = ssl.hidden_targets_binary();
             for (k, &lambda) in self.lambdas.iter().enumerate() {

@@ -5,7 +5,8 @@
 //! benchmarks.
 //!
 //! The library half hosts the experiment definitions ([`experiment`]), a
-//! parallel Monte-Carlo [`runner`], and paper-style [`report`] formatting;
+//! parallel Monte-Carlo [`runner`], paper-style [`report`] formatting and
+//! the one [`json`] writer behind every `BENCH_*.json` record;
 //! the binaries in `src/bin/` (one per figure, plus the toy example,
 //! counterexample and theory diagnostics) wire them to the command line,
 //! and `benches/` holds the Criterion timing targets.
@@ -22,5 +23,6 @@
 
 pub mod experiment;
 pub mod figures;
+pub mod json;
 pub mod report;
 pub mod runner;

@@ -7,8 +7,8 @@ use crate::kernel::Kernel;
 use gssl_linalg::Matrix;
 use gssl_runtime::Executor;
 
-/// Row-block width used by the parallel assembly paths: a few blocks per
-/// worker so stragglers even out without shredding cache locality.
+/// Row-block width of the sharded assembly: a few blocks per worker so
+/// stragglers even out without shredding cache locality.
 fn row_block(rows: usize, executor: &Executor) -> usize {
     rows.div_ceil(executor.workers().saturating_mul(4)).max(1)
 }
@@ -53,54 +53,6 @@ pub fn pairwise_squared_distances(points: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// [`pairwise_squared_distances`] with the row loop sharded across
-/// `executor`, producing a matrix **bit-identical** to the sequential one.
-///
-/// Each worker computes the strict upper-triangle tail of a block of rows
-/// — every `d²(i, j)` by the same `squared_distance` call as the
-/// sequential path — and the tails are mirrored into the matrix in row
-/// order afterwards, so worker count never changes a single bit.
-///
-/// # Errors
-///
-/// Same as [`pairwise_squared_distances`].
-/// shape: (points.rows, points.rows)
-/// hot
-/// complexity: O(n^2 * d)
-/// deterministic
-pub fn pairwise_squared_distances_with(points: &Matrix, executor: &Executor) -> Result<Matrix> {
-    if executor.is_sequential() {
-        return pairwise_squared_distances(points);
-    }
-    let n = points.rows();
-    if n == 0 {
-        return Err(Error::EmptyInput {
-            required: "at least one point",
-        });
-    }
-    let tails: Vec<Vec<f64>> = executor.map_chunks(n, row_block(n, executor), |range| {
-        let mut rows = Vec::with_capacity(range.len());
-        for i in range {
-            let row_i = points.row(i);
-            let mut tail = Vec::with_capacity(n - i - 1);
-            for j in (i + 1)..n {
-                tail.push(squared_distance(row_i, points.row(j)));
-            }
-            rows.push(tail);
-        }
-        Ok::<_, Error>(rows)
-    })?;
-    let mut out = Matrix::zeros(n, n);
-    for (i, tail) in tails.iter().enumerate() {
-        for (offset, &d2) in tail.iter().enumerate() {
-            let j = i + 1 + offset;
-            out.set(i, j, d2);
-            out.set(j, i, d2);
-        }
-    }
-    Ok(out)
-}
-
 /// Builds the dense affinity matrix `W` for `points` (rows are points)
 /// using `kernel` at a concrete `bandwidth`.
 ///
@@ -117,15 +69,18 @@ pub fn pairwise_squared_distances_with(points: &Matrix, executor: &Executor) -> 
 /// complexity: O(n^2 * d)
 /// deterministic
 pub fn affinity_matrix(points: &Matrix, kernel: Kernel, bandwidth: f64) -> Result<Matrix> {
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    let d2 = pairwise_squared_distances(points)?;
-    affinity_from_distances(&d2, kernel, bandwidth)
+    affinity_matrix_with(points, kernel, bandwidth, &Executor::sequential())
 }
 
-/// [`affinity_matrix`] with both the distance and kernel passes sharded
-/// across `executor`; output bit-identical to the sequential one.
+/// [`affinity_matrix`] with the rows sharded across `executor`; output
+/// bit-identical at every worker count.
+///
+/// One row-owned kernel: each worker writes the upper triangle of its
+/// block of rows in place — `K(0)` on the diagonal, then
+/// `K(‖x_i − x_j‖²)` for `j > i` — and one pass on the calling thread
+/// mirrors the upper triangle into the lower. Every entry is one
+/// `squared_distance` and one kernel evaluation, whoever computes it, and
+/// no `n × n` distance matrix is formed.
 ///
 /// # Errors
 ///
@@ -143,124 +98,33 @@ pub fn affinity_matrix_with(
     if !(bandwidth > 0.0) {
         return Err(Error::InvalidBandwidth { value: bandwidth });
     }
-    let d2 = pairwise_squared_distances_with(points, executor)?;
-    affinity_from_distances_with(&d2, kernel, bandwidth, executor)
-}
-
-/// Builds the affinity matrix from a precomputed squared-distance matrix.
-///
-/// Useful when several bandwidths or kernels are swept over the same point
-/// set (as in the paper's λ sweeps): the `O(n² d)` distance computation is
-/// paid once.
-///
-/// # Errors
-///
-/// * [`Error::InvalidArgument`] when `squared_distances` is not square.
-/// * [`Error::InvalidBandwidth`] when `bandwidth <= 0`.
-/// shape: (squared_distances.rows, squared_distances.cols)
-/// hot
-/// complexity: O(n^2)
-/// deterministic
-pub fn affinity_from_distances(
-    squared_distances: &Matrix,
-    kernel: Kernel,
-    bandwidth: f64,
-) -> Result<Matrix> {
-    if !squared_distances.is_square() {
-        return Err(Error::InvalidArgument {
-            message: format!(
-                "squared-distance matrix must be square, got {}x{}",
-                squared_distances.rows(),
-                squared_distances.cols()
-            ),
+    let n = points.rows();
+    if n == 0 {
+        return Err(Error::EmptyInput {
+            required: "at least one point",
         });
     }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    let n = squared_distances.rows();
     let diagonal = kernel.weight_unchecked(0.0, bandwidth);
     let mut w = Matrix::zeros(n, n);
-    for i in 0..n {
-        w.set(i, i, diagonal);
-        for j in (i + 1)..n {
-            let d2 = squared_distances.get(i, j);
-            if d2 < 0.0 {
-                return Err(Error::InvalidArgument {
-                    message: format!("squared distance must be nonnegative, got {d2}"),
-                });
-            }
-            let weight = kernel.weight_unchecked(d2, bandwidth);
-            w.set(i, j, weight);
-            w.set(j, i, weight);
-        }
-    }
-    Ok(w)
-}
-
-/// [`affinity_from_distances`] with the kernel evaluation sharded across
-/// `executor`; output bit-identical to the sequential one.
-///
-/// Each worker evaluates `kernel.weight` over the upper-triangle tail of a
-/// block of rows (plus the row's diagonal `K(0)`), in the same order as
-/// the sequential double loop; the tails are then mirrored in row order.
-///
-/// # Errors
-///
-/// Same as [`affinity_from_distances`].
-/// shape: (squared_distances.rows, squared_distances.cols)
-/// hot
-/// complexity: O(n^2)
-/// deterministic
-pub fn affinity_from_distances_with(
-    squared_distances: &Matrix,
-    kernel: Kernel,
-    bandwidth: f64,
-    executor: &Executor,
-) -> Result<Matrix> {
-    if executor.is_sequential() {
-        return affinity_from_distances(squared_distances, kernel, bandwidth);
-    }
-    if !squared_distances.is_square() {
-        return Err(Error::InvalidArgument {
-            message: format!(
-                "squared-distance matrix must be square, got {}x{}",
-                squared_distances.rows(),
-                squared_distances.cols()
-            ),
-        });
-    }
-    if !(bandwidth > 0.0) {
-        return Err(Error::InvalidBandwidth { value: bandwidth });
-    }
-    let n = squared_distances.rows();
-    let diagonal = kernel.weight_unchecked(0.0, bandwidth);
-    // Per row: the diagonal weight K(0) followed by the strict upper tail.
-    let tails: Vec<Vec<f64>> = executor.map_chunks(n, row_block(n, executor), |range| {
-        let mut rows = Vec::with_capacity(range.len());
-        for i in range {
-            let mut tail = Vec::with_capacity(n - i);
-            tail.push(diagonal);
-            for j in (i + 1)..n {
-                let d2 = squared_distances.get(i, j);
-                if d2 < 0.0 {
-                    return Err(Error::InvalidArgument {
-                        message: format!("squared distance must be nonnegative, got {d2}"),
-                    });
+    executor.for_each_chunk_mut(
+        w.as_mut_slice(),
+        row_block(n, executor) * n,
+        |start, chunk| {
+            let first_row = start / n;
+            for (local, row) in chunk.chunks_mut(n).enumerate() {
+                let i = first_row + local;
+                let row_i = points.row(i);
+                row[i] = diagonal;
+                for (j, value) in row.iter_mut().enumerate().skip(i + 1) {
+                    *value =
+                        kernel.weight_unchecked(squared_distance(row_i, points.row(j)), bandwidth);
                 }
-                tail.push(kernel.weight_unchecked(d2, bandwidth));
             }
-            rows.push(tail);
-        }
-        Ok::<_, Error>(rows)
-    })?;
-    let mut w = Matrix::zeros(n, n);
-    for (i, tail) in tails.iter().enumerate() {
-        w.set(i, i, tail[0]);
-        for (offset, &weight) in tail[1..].iter().enumerate() {
-            let j = i + 1 + offset;
-            w.set(i, j, weight);
-            w.set(j, i, weight);
+        },
+    )?;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            w.set(j, i, w.get(i, j));
         }
     }
     Ok(w)
@@ -350,34 +214,52 @@ mod tests {
             pairwise_squared_distances(&Matrix::zeros(0, 2)),
             Err(Error::EmptyInput { .. })
         ));
-        assert!(affinity_from_distances(&Matrix::zeros(2, 3), Kernel::Gaussian, 1.0).is_err());
+        assert!(matches!(
+            affinity_matrix(&Matrix::zeros(0, 2), Kernel::Gaussian, 1.0),
+            Err(Error::EmptyInput { .. })
+        ));
     }
 
     #[test]
-    fn precomputed_distances_match_direct_path() {
-        let pts = triangle();
+    fn affinity_is_the_kernel_of_the_pairwise_distances() {
+        let pts = Matrix::from_fn(60, 3, |i, j| ((i * 7 + j * 3) as f64 * 0.31).sin());
         let d2 = pairwise_squared_distances(&pts).unwrap();
-        let w_direct = affinity_matrix(&pts, Kernel::Epanechnikov, 2.0).unwrap();
-        let w_cached = affinity_from_distances(&d2, Kernel::Epanechnikov, 2.0).unwrap();
-        assert!(w_direct.approx_eq(&w_cached, 0.0));
+        for kernel in Kernel::all() {
+            let w = affinity_matrix(&pts, kernel, 0.7).unwrap();
+            for i in 0..60 {
+                for j in 0..60 {
+                    let expected = kernel.weight(d2.get(i, j), 0.7).unwrap();
+                    assert_eq!(
+                        w.get(i, j).to_bits(),
+                        expected.to_bits(),
+                        "{kernel} ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn parallel_assembly_is_bit_identical_to_sequential() {
+    fn parallel_assembly_is_bit_identical_across_worker_counts() {
         use gssl_runtime::Executor;
         // Enough rows for several chunks per worker.
         let pts = Matrix::from_fn(60, 3, |i, j| ((i * 7 + j * 3) as f64 * 0.31).sin());
-        let d2 = pairwise_squared_distances(&pts).unwrap();
         let w = affinity_matrix(&pts, Kernel::Gaussian, 0.7).unwrap();
         for workers in [1, 2, 3, 4] {
             let executor = Executor::with_workers(workers);
-            let d2_par = pairwise_squared_distances_with(&pts, &executor).unwrap();
-            assert_eq!(d2_par.as_slice(), d2.as_slice(), "d2 at {workers} workers");
             let w_par = affinity_matrix_with(&pts, Kernel::Gaussian, 0.7, &executor).unwrap();
             assert_eq!(w_par.as_slice(), w.as_slice(), "W at {workers} workers");
-            let w_cached =
-                affinity_from_distances_with(&d2, Kernel::Gaussian, 0.7, &executor).unwrap();
-            assert_eq!(w_cached.as_slice(), w.as_slice());
+        }
+        // Empty and one-point clouds keep their results on every width.
+        let one = Matrix::from_rows(&[&[0.5, 0.5]]).unwrap();
+        for workers in [1, 2] {
+            let executor = Executor::with_workers(workers);
+            let w1 = affinity_matrix_with(&one, Kernel::Gaussian, 0.7, &executor).unwrap();
+            assert_eq!(w1.as_slice(), &[1.0]);
+            assert!(matches!(
+                affinity_matrix_with(&Matrix::zeros(0, 2), Kernel::Gaussian, 0.7, &executor),
+                Err(Error::EmptyInput { .. })
+            ));
         }
     }
 
@@ -389,17 +271,6 @@ mod tests {
             affinity_matrix_with(&triangle(), Kernel::Gaussian, 0.0, &executor),
             Err(Error::InvalidBandwidth { .. })
         ));
-        assert!(matches!(
-            pairwise_squared_distances_with(&Matrix::zeros(0, 2), &executor),
-            Err(Error::EmptyInput { .. })
-        ));
-        assert!(affinity_from_distances_with(
-            &Matrix::zeros(2, 3),
-            Kernel::Gaussian,
-            1.0,
-            &executor
-        )
-        .is_err());
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl KernelGraph {
 
     /// [`KernelGraph::weights`] assembled on `executor`: row blocks of the
     /// affinity matrix are computed in parallel, with output bit-identical
-    /// to the sequential path at any worker count.
+    /// at every worker count.
     ///
     /// # Errors
     ///

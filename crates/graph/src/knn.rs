@@ -70,7 +70,7 @@ pub fn knn_graph(
 ) -> Result<CsrMatrix> {
     check_knn_args(points.rows(), k, bandwidth)?;
     let index = BruteForce::build(points)?;
-    let neighbors = self_k_nearest_batch(&index, k, &gssl_runtime::Executor::Sequential)?;
+    let neighbors = self_k_nearest_batch(&index, k, &gssl_runtime::Executor::sequential())?;
     symmetrize_knn(&neighbors, kernel, bandwidth, symmetrization)
 }
 
@@ -515,7 +515,7 @@ mod tests {
             Kernel::Gaussian,
             1.4,
             Symmetrization::Union,
-            &Executor::Sequential,
+            &Executor::sequential(),
         )
         .unwrap();
         assert_eq!(

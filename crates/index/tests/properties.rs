@@ -171,7 +171,7 @@ fn batched_queries_are_bit_identical_across_worker_counts() {
         let queries = tied_cloud(rng, 25, d);
         let k = rng.gen_range(1.0..7.0) as usize;
         let r = rng.gen_range(0.2..1.5);
-        let seq = Executor::Sequential;
+        let seq = Executor::sequential();
         let knn_ref = k_nearest_batch(&idx, &queries, k, &seq).expect("seq batch");
         let self_ref = self_k_nearest_batch(&idx, k, &seq).expect("seq self batch");
         let range_ref = self_within_radius_batch(&idx, r, &seq).expect("seq range batch");

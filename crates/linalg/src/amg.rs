@@ -29,14 +29,14 @@
 //! while the hierarchy removes the mesh-size dependence of the iteration
 //! count. Matvecs on the fine levels are row-sharded across the stored
 //! executor with the same fixed chunk claims as every other backend, so
-//! parallel solves are bit-identical to sequential ones.
+//! solves are bit-identical at every worker count.
 
 use crate::cg::{preconditioned_cg_with, CgOptions};
 use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::factor::{BackendKind, FactorReport, Factorization};
 use crate::lu::Lu;
-use crate::ops::LinearOperator;
+use crate::ops::{LinearOperator, ShardedCsr};
 use crate::precond::{JacobiPrecond, Preconditioner};
 use crate::sparse::CsrMatrix;
 use crate::vector::Vector;
@@ -206,7 +206,7 @@ impl AmgCg {
     }
 
     /// Runs every solve's fine-level matvecs on `executor` (row-sharded,
-    /// bit-identical to the sequential backend at any worker count).
+    /// bit-identical at every worker count).
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
@@ -262,35 +262,12 @@ impl AmgCg {
         self.grids.first().map(|g| &g.a).unwrap_or(&self.coarse_a)
     }
 
-    /// `out = A x` at level `depth`, row-sharded across the executor with
-    /// the same fixed chunk claims as every backend (bit-identical to the
-    /// sequential matvec at any worker count).
-    /// complexity: O(nnz)
-    fn matvec(&self, a: &CsrMatrix, x: &[f64], out: &mut [f64]) {
-        if self.executor.is_sequential() {
-            a.apply(x, out);
-            return;
-        }
-        let block = out
-            .len()
-            .div_ceil(self.executor.workers().saturating_mul(4))
-            .max(1);
-        let sharded = self
-            .executor
-            .for_each_chunk_mut(out, block, |start, chunk| {
-                for (local, o) in chunk.iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    for (j, v) in a.row_iter(start + local) {
-                        sum += v * x[j];
-                    }
-                    *o = sum;
-                }
-            });
-        if sharded.is_err() {
-            // Chunk width is always >= 1 and the closure is infallible, so
-            // this arm is unreachable; recompute sequentially rather than
-            // panic if it ever fires.
-            a.apply(x, out);
+    /// The level matrix `a` as the row-sharded CG operator on this
+    /// backend's executor.
+    fn op<'a>(&'a self, a: &'a CsrMatrix) -> ShardedCsr<'a> {
+        ShardedCsr {
+            matrix: a,
+            executor: &self.executor,
         }
     }
 
@@ -311,6 +288,7 @@ impl AmgCg {
             return;
         }
         let grid = &self.grids[depth];
+        let a = self.op(&grid.a);
         let n = grid.a.rows();
         for xi in x.iter_mut() {
             *xi = 0.0;
@@ -318,14 +296,14 @@ impl AmgCg {
         let mut tmp = vec![0.0; n];
         // Pre-smooth: x ← x + ω D⁻¹ (r − A x), simultaneous update.
         for _ in 0..self.options.smoothing_sweeps {
-            self.matvec(&grid.a, x, &mut tmp);
+            a.apply(x, &mut tmp);
             for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
                 *xi += self.options.damping * di * (ri - ti);
             }
         }
         // Coarse-grid correction: restrict the residual (Pᵀ is "sum over
         // the aggregate"), recurse, prolong (P is "copy to every member").
-        self.matvec(&grid.a, x, &mut tmp);
+        a.apply(x, &mut tmp);
         let coarse_n = self
             .grids
             .get(depth + 1)
@@ -342,7 +320,7 @@ impl AmgCg {
         }
         // Post-smooth with the same sweeps, keeping the cycle symmetric.
         for _ in 0..self.options.smoothing_sweeps {
-            self.matvec(&grid.a, x, &mut tmp);
+            a.apply(x, &mut tmp);
             for ((xi, ri), (ti, di)) in x.iter_mut().zip(r).zip(tmp.iter().zip(&grid.inv_diag)) {
                 *xi += self.options.damping * di * (ri - ti);
             }
@@ -363,19 +341,6 @@ impl Preconditioner for VCyclePrecond<'_> {
     }
 }
 
-/// The finest operator with row-sharded matvecs, for the outer CG loop.
-struct ShardedFinest<'a>(&'a AmgCg);
-
-impl LinearOperator for ShardedFinest<'_> {
-    fn dim(&self) -> usize {
-        self.0.finest().rows()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.0.matvec(self.0.finest(), x, out);
-    }
-}
-
 impl Factorization for AmgCg {
     fn dim(&self) -> usize {
         self.finest().rows()
@@ -384,8 +349,7 @@ impl Factorization for AmgCg {
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
         let precond = VCyclePrecond(self);
-        let op = ShardedFinest(self);
-        match preconditioned_cg_with(&op, b, &precond, &self.options.cg) {
+        match preconditioned_cg_with(&self.op(self.finest()), b, &precond, &self.options.cg) {
             Ok(out) => {
                 self.record(out.iterations, out.residual_norm);
                 Ok(out.solution)
@@ -716,20 +680,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solves_are_bit_identical() {
+    fn parallel_solves_match_cg_on_the_plain_csr_operator() {
+        // The outer CG loop on the plain `CsrMatrix` operator with the
+        // V-cycle as preconditioner is the reference every worker count
+        // must reproduce bit for bit.
         let a = grid_laplacian(13);
         let b = rhs(a.rows());
-        let sequential = AmgCg::factor_sparse(&a, AmgOptions::default())
+        let amg = AmgCg::factor_sparse(&a, AmgOptions::default()).unwrap();
+        let reference = preconditioned_cg_with(&a, &b, &VCyclePrecond(&amg), &amg.options.cg)
             .unwrap()
-            .solve(&b)
-            .unwrap();
-        for workers in [2, 4, 8] {
+            .solution;
+        for workers in [1, 2, 4, 8] {
             let parallel = AmgCg::factor_sparse(&a, AmgOptions::default())
                 .unwrap()
                 .with_executor(Executor::with_workers(workers));
             assert_eq!(
                 parallel.solve(&b).unwrap().as_slice(),
-                sequential.as_slice(),
+                reference.as_slice(),
                 "workers={workers} diverged"
             );
         }

@@ -180,7 +180,7 @@ pub fn preconditioned_cg_with(
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::ops::ShiftedOperator;
+    use crate::sparse::CsrMatrix;
 
     /// Unpreconditioned CG: the unit diagonal makes `z = r` exactly.
     fn plain_cg(
@@ -282,14 +282,25 @@ mod tests {
 
     #[test]
     fn works_through_operator_abstraction() {
-        // Solve (L + I) x = b with L a graph Laplacian given lazily.
-        let l =
-            Matrix::from_rows(&[&[1.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 1.0]]).unwrap();
-        let shifted = ShiftedOperator::new(&l, 1.0);
+        // Solve (L + I) x = b with L a path-graph Laplacian, the shift
+        // folded into the diagonal of a CSR operator.
+        let shifted = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 2.0),
+                (0, 1, -1.0),
+                (1, 0, -1.0),
+                (1, 1, 3.0),
+                (1, 2, -1.0),
+                (2, 1, -1.0),
+                (2, 2, 2.0),
+            ],
+        )
+        .unwrap();
         let b = Vector::from(vec![1.0, 0.0, -1.0]);
         let out = plain_cg(&shifted, &b, &CgOptions::default()).unwrap();
-        let dense = &l + &Matrix::identity(3);
-        let exact = crate::lu::solve(&dense, &b).unwrap();
+        let exact = crate::lu::solve(&shifted.to_dense(), &b).unwrap();
         assert!(out.solution.approx_eq(&exact, 1e-8));
     }
 

@@ -51,47 +51,23 @@ impl Cholesky {
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("cholesky.factor input", a)?;
-        strict::check_symmetric("cholesky.factor input", a, STRICT_SYMMETRY_TOL)?;
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut diag = a.get(j, j);
-            for &v in &l.row(j)[..j] {
-                diag -= v * v;
-            }
-            if !(diag > 0.0) || !diag.is_finite() {
-                return Err(Error::NotPositiveDefinite { pivot: j });
-            }
-            let diag_sqrt = diag.sqrt();
-            l.set(j, j, diag_sqrt);
-            for i in (j + 1)..n {
-                let mut sum = a.get(i, j);
-                for (lik, ljk) in l.row(i)[..j].iter().zip(&l.row(j)[..j]) {
-                    sum -= lik * ljk;
-                }
-                l.set(i, j, sum / diag_sqrt);
-            }
-        }
-        Ok(Cholesky { lower: l })
+        Cholesky::factor_with(a, &gssl_runtime::Executor::sequential())
     }
 
     /// Factorizes a symmetric positive-definite matrix with trailing-block
     /// updates parallelized across `executor`, producing a factor
-    /// **bit-identical** to [`Cholesky::factor`].
+    /// **bit-identical at every worker count**.
     ///
     /// The algorithm is a right-looking blocked factorization over a
     /// working copy of `a`: each panel of [`Self::PANEL_WIDTH`] columns is
-    /// factored sequentially, then every trailing row subtracts the
-    /// panel's outer products independently — one worker per row block,
-    /// reading a snapshot of the panel's `L` columns so no worker reads a
-    /// row another is writing. Bit-identity holds because each element's
-    /// value sees exactly the left-looking sequence of operations: the
-    /// subtractions `l[i][k] · l[j][k]` in globally increasing `k`, then
-    /// one division by the pivot (or one square root on the diagonal).
+    /// factored on the calling thread, then every trailing row subtracts
+    /// the panel's outer products independently — one worker per row
+    /// block, reading a snapshot of the panel's `L` columns so no worker
+    /// reads a row another is writing. Each element's value sees exactly
+    /// the textbook left-looking sequence of operations: the subtractions
+    /// `l[i][k] · l[j][k]` in globally increasing `k`, then one division
+    /// by the pivot (or one square root on the diagonal). A 1-worker
+    /// executor runs the same row blocks inline.
     ///
     /// # Errors
     ///
@@ -100,23 +76,23 @@ impl Cholesky {
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor_with(a: &Matrix, executor: &gssl_runtime::Executor) -> Result<Self> {
-        if executor.is_sequential() {
-            return Cholesky::factor(a);
-        }
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
         strict::check_finite_matrix("cholesky.factor input", a)?;
         strict::check_symmetric("cholesky.factor input", a, STRICT_SYMMETRY_TOL)?;
         let n = a.rows();
-        // Working copy: the lower triangle turns into L panel by panel;
-        // the upper triangle is never read and is zeroed at the end.
-        let mut w = a.clone();
+        // Working copy of the lower triangle, which turns into L panel by
+        // panel; the upper triangle stays zero (never read, never written).
+        let mut w = Matrix::zeros(n, n);
+        for i in 0..n {
+            w.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        }
 
         let mut j0 = 0;
         while j0 < n {
             let j1 = (j0 + Self::PANEL_WIDTH).min(n);
-            // Panel factorization: columns j0..j1 sequentially. Entries in
+            // Panel factorization: columns j0..j1 in order. Entries in
             // these columns already carry the subtractions for k < j0 from
             // earlier trailing updates, so only the within-panel k remain.
             for j in j0..j1 {
@@ -183,13 +159,6 @@ impl Cholesky {
             j0 = j1;
         }
 
-        // The sequential factor writes into a zero matrix; mirror that by
-        // clearing the never-read upper triangle of the working copy.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                w.set(i, j, 0.0);
-            }
-        }
         Ok(Cholesky { lower: w })
     }
 
@@ -389,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_with_is_bit_identical_to_sequential() {
+    fn factor_with_is_bit_identical_across_worker_counts() {
         // Larger than one 32-wide panel so the blocked path exercises both
         // the panel loop and the parallel trailing update.
         let n = 83;
@@ -405,7 +374,7 @@ mod tests {
             assert_eq!(
                 parallel.lower().as_slice(),
                 sequential.lower().as_slice(),
-                "cholesky factor differs from sequential at {workers} workers"
+                "cholesky factor differs from 1 worker at {workers} workers"
             );
         }
     }

@@ -18,11 +18,10 @@ use crate::cholesky::Cholesky;
 use crate::error::{Error, Result};
 use crate::lu::Lu;
 use crate::matrix::Matrix;
-use crate::ops::LinearOperator;
+use crate::ops::ShardedCsr;
 use crate::precond::{Precond, PrecondKind};
 use crate::sparse::CsrMatrix;
-use crate::strict;
-use crate::vector::{dot_slices, Vector};
+use crate::vector::Vector;
 use gssl_runtime::Executor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -302,91 +301,20 @@ impl Factorization for Lu {
     }
 }
 
-/// The system held by the iterative backend: dense or CSR, applied as a
-/// [`LinearOperator`] without ever factoring.
-#[derive(Debug, Clone)]
-pub enum CgSystem {
-    /// Dense system matrix.
-    Dense(Matrix),
-    /// Sparse CSR system matrix.
-    Sparse(CsrMatrix),
-}
-
-impl LinearOperator for CgSystem {
-    fn dim(&self) -> usize {
-        match self {
-            CgSystem::Dense(a) => a.rows(),
-            CgSystem::Sparse(a) => a.rows(),
-        }
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            CgSystem::Dense(a) => a.apply(x, out),
-            CgSystem::Sparse(a) => a.apply(x, out),
-        }
-    }
-}
-
-/// A [`CgSystem`] whose matvec is sharded across an [`Executor`].
-///
-/// Each output element is one row's dot product, computed by exactly one
-/// worker with the same operations as the sequential
-/// `LinearOperator::apply` — so CG sees bit-identical iterates regardless
-/// of worker count.
-struct ShardedCgSystem<'a> {
-    system: &'a CgSystem,
-    executor: &'a Executor,
-}
-
-impl LinearOperator for ShardedCgSystem<'_> {
-    fn dim(&self) -> usize {
-        LinearOperator::dim(self.system)
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let rows = out.len();
-        let block = rows
-            .div_ceil(self.executor.workers().saturating_mul(4))
-            .max(1);
-        let sharded = self
-            .executor
-            .for_each_chunk_mut(out, block, |start, chunk| {
-                for (local, o) in chunk.iter_mut().enumerate() {
-                    let i = start + local;
-                    *o = match self.system {
-                        CgSystem::Dense(a) => dot_slices(a.row(i), x),
-                        CgSystem::Sparse(a) => {
-                            let mut sum = 0.0;
-                            for (j, v) in a.row_iter(i) {
-                                sum += v * x[j];
-                            }
-                            sum
-                        }
-                    };
-                }
-            });
-        if sharded.is_err() {
-            // `LinearOperator::apply` is infallible and the chunk width is
-            // always >= 1, so this arm is unreachable in practice; recompute
-            // sequentially rather than panic if it ever fires.
-            self.system.apply(x, out);
-        }
-    }
-}
-
-/// Preconditioned conjugate-gradient backend.
+/// Preconditioned conjugate-gradient backend over a CSR system.
 ///
 /// "Factoring" validates the system and builds the chosen
 /// [`PrecondKind`] (Jacobi diagonal scaling by default, or incomplete
 /// Cholesky IC(0)); every [`PrecondCg::solve`] call then runs
-/// [`preconditioned_cg_with`] against the stored operator. The system must
-/// be symmetric positive definite — CG reports [`Error::NotConverged`]
-/// otherwise. The most recent solve's iteration count and residual are
-/// recorded for [`Factorization::report`].
+/// [`preconditioned_cg_with`] against the stored matrix, its matvecs
+/// row-sharded across the stored executor. The system must be symmetric
+/// positive definite — CG reports [`Error::NotConverged`] otherwise. The
+/// most recent solve's iteration count and residual are recorded for
+/// [`Factorization::report`]. A dense system goes in through
+/// [`CsrMatrix::from_dense`].
 #[derive(Debug)]
 pub struct PrecondCg {
-    system: CgSystem,
+    system: CsrMatrix,
     precond: Precond,
     options: CgOptions,
     executor: Executor,
@@ -411,49 +339,6 @@ impl Clone for PrecondCg {
 }
 
 impl PrecondCg {
-    /// Builds the iterative backend around a dense system with the
-    /// historical Jacobi (diagonal) preconditioner.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::NotPositiveDefinite`] when a diagonal entry is `<= 0` or
-    ///   non-finite (an SPD matrix has a strictly positive diagonal).
-    pub fn factor_dense(a: &Matrix, options: CgOptions) -> Result<Self> {
-        PrecondCg::factor_dense_with(a, PrecondKind::Jacobi, options)
-    }
-
-    /// Builds the iterative backend around a dense system with an explicit
-    /// preconditioner choice.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotSquare`] when `a` is not square.
-    /// * [`Error::NotPositiveDefinite`] when the preconditioner cannot be
-    ///   built (non-positive diagonal or IC(0) breakdown).
-    pub fn factor_dense_with(a: &Matrix, kind: PrecondKind, options: CgOptions) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("precond_cg.factor input", a)?;
-        let precond = match kind {
-            // The Jacobi diagonal comes straight off the dense storage —
-            // no CSR conversion, and bit-identical to the pre-PR-9 path.
-            PrecondKind::Jacobi => Precond::Jacobi(crate::precond::JacobiPrecond::from_diagonal(
-                (0..a.rows()).map(|i| a.get(i, i)),
-            )?),
-            other => Precond::build(&CsrMatrix::from_dense(a, 0.0), &other)?,
-        };
-        Ok(PrecondCg {
-            system: CgSystem::Dense(a.clone()),
-            precond,
-            options,
-            executor: Executor::default(),
-            last_iterations: AtomicUsize::new(usize::MAX),
-            last_residual: AtomicU64::new(f64::NAN.to_bits()),
-        })
-    }
-
     /// Builds the iterative backend around a CSR system with the
     /// historical Jacobi (diagonal) preconditioner.
     ///
@@ -487,7 +372,7 @@ impl PrecondCg {
         }
         let precond = Precond::build(a, &kind)?;
         Ok(PrecondCg {
-            system: CgSystem::Sparse(a.clone()),
+            system: a.clone(),
             precond,
             options,
             executor: Executor::default(),
@@ -497,15 +382,16 @@ impl PrecondCg {
     }
 
     /// Runs every solve's matvecs on `executor` (row-sharded, with output
-    /// bit-identical to the sequential backend at any worker count).
+    /// bit-identical at every worker count).
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
     }
 
-    /// Borrows the stored system operator.
-    pub fn system(&self) -> &CgSystem {
+    /// Borrows the stored system matrix.
+    /// shape: (n, n)
+    pub fn system(&self) -> &CsrMatrix {
         &self.system
     }
 
@@ -556,21 +442,16 @@ impl PrecondCg {
 
 impl Factorization for PrecondCg {
     fn dim(&self) -> usize {
-        LinearOperator::dim(&self.system)
+        self.system.rows()
     }
 
     /// shape: (b.len,)
     fn solve(&self, b: &Vector) -> Result<Vector> {
-        let outcome = if self.executor.is_sequential() {
-            preconditioned_cg_with(&self.system, b, &self.precond, &self.options)
-        } else {
-            let sharded = ShardedCgSystem {
-                system: &self.system,
-                executor: &self.executor,
-            };
-            preconditioned_cg_with(&sharded, b, &self.precond, &self.options)
+        let op = ShardedCsr {
+            matrix: &self.system,
+            executor: &self.executor,
         };
-        match outcome {
+        match preconditioned_cg_with(&op, b, &self.precond, &self.options) {
             Ok(out) => {
                 self.record(out.iterations, out.residual_norm);
                 Ok(out.solution)
@@ -602,9 +483,7 @@ impl Factorization for PrecondCg {
                 right: (x.len(), 1),
             });
         }
-        let mut out = vec![0.0; n];
-        LinearOperator::apply(&self.system, x.as_slice(), &mut out);
-        Ok(Vector::from(out))
+        Ok(Vector::from(self.system.matvec(x.as_slice())))
     }
 
     fn kind(&self) -> BackendKind {
@@ -842,8 +721,7 @@ impl SolverPolicy {
     /// Runs every factorization this policy selects on `executor`.
     ///
     /// Backend choice is unaffected — only how the chosen backend computes.
-    /// Parallel executors keep factors and solves bit-identical to the
-    /// sequential ones.
+    /// Factors and solves are bit-identical at every worker count.
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
@@ -1016,6 +894,7 @@ impl SolverPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precond::JacobiPrecond;
 
     fn spd_sample(n: usize) -> Matrix {
         // Diagonally dominant symmetric tridiagonal: SPD at every size.
@@ -1042,10 +921,11 @@ mod tests {
 
         let chol = Cholesky::factor(&a).unwrap();
         let lu = Lu::factor(&a).unwrap();
-        let cg = PrecondCg::factor_dense(&a, CgOptions::default()).unwrap();
-        let ic = PrecondCg::factor_dense_with(&a, PrecondKind::Ic0, CgOptions::default()).unwrap();
-        let amg =
-            AmgCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), AmgOptions::default()).unwrap();
+        let csr = CsrMatrix::from_dense(&a, 0.0);
+        let cg = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
+        let ic =
+            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
+        let amg = AmgCg::factor_sparse(&csr, AmgOptions::default()).unwrap();
         for backend in [
             SolverBackend::Cholesky(chol),
             SolverBackend::Lu(lu),
@@ -1080,7 +960,8 @@ mod tests {
         let ax = Factorization::apply(&chol, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-12));
 
-        let cg = PrecondCg::factor_dense(&spd, CgOptions::default()).unwrap();
+        let cg = PrecondCg::factor_sparse(&CsrMatrix::from_dense(&spd, 0.0), CgOptions::default())
+            .unwrap();
         let ax = Factorization::apply(&cg, &x5).unwrap();
         assert!(ax.approx_eq(&spd.matvec(&x5).unwrap(), 1e-14));
     }
@@ -1091,7 +972,10 @@ mod tests {
         let id = Matrix::identity(6);
         for backend in [
             SolverPolicy::default().factor_dense(&a).unwrap(),
-            SolverBackend::Cg(PrecondCg::factor_dense(&a, CgOptions::default()).unwrap()),
+            SolverBackend::Cg(
+                PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default())
+                    .unwrap(),
+            ),
         ] {
             let inv = backend.inverse().unwrap();
             assert!(a.matmul(&inv).unwrap().approx_eq(&id, 1e-7));
@@ -1102,7 +986,7 @@ mod tests {
     fn precond_cg_rejects_nonpositive_diagonal() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]).unwrap();
         assert!(matches!(
-            PrecondCg::factor_dense(&a, CgOptions::default()),
+            PrecondCg::factor_sparse(&CsrMatrix::from_dense(&a, 0.0), CgOptions::default()),
             Err(Error::NotPositiveDefinite { pivot: 1 })
         ));
         let csr = CsrMatrix::from_triplets(2, 2, &[(0, 0, -1.0), (1, 1, 1.0)]).unwrap();
@@ -1115,10 +999,6 @@ mod tests {
     #[test]
     fn precond_cg_rejects_non_square() {
         assert!(matches!(
-            PrecondCg::factor_dense(&Matrix::zeros(2, 3), CgOptions::default()),
-            Err(Error::NotSquare { .. })
-        ));
-        assert!(matches!(
             PrecondCg::factor_sparse(&CsrMatrix::zeros(2, 3), CgOptions::default()),
             Err(Error::NotSquare { .. })
         ));
@@ -1129,7 +1009,12 @@ mod tests {
         let n = 32;
         let a = spd_sample(n);
         let b = rhs(n);
-        let cg = PrecondCg::factor_dense_with(&a, PrecondKind::Ic0, CgOptions::default()).unwrap();
+        let cg = PrecondCg::factor_sparse_with(
+            &CsrMatrix::from_dense(&a, 0.0),
+            PrecondKind::Ic0,
+            CgOptions::default(),
+        )
+        .unwrap();
         // Before any solve the diagnostics are unset.
         assert_eq!(cg.report().iterations, None);
         assert_eq!(cg.report().final_residual, None);
@@ -1164,9 +1049,10 @@ mod tests {
             }
         });
         let b = rhs(side * side);
-        let jacobi = PrecondCg::factor_dense(&dense, CgOptions::default()).unwrap();
+        let csr = CsrMatrix::from_dense(&dense, 0.0);
+        let jacobi = PrecondCg::factor_sparse(&csr, CgOptions::default()).unwrap();
         let ic =
-            PrecondCg::factor_dense_with(&dense, PrecondKind::Ic0, CgOptions::default()).unwrap();
+            PrecondCg::factor_sparse_with(&csr, PrecondKind::Ic0, CgOptions::default()).unwrap();
         let xj = jacobi.solve(&b).unwrap();
         let xi = ic.solve(&b).unwrap();
         assert!(xj.approx_eq(&xi, 1e-6));
@@ -1367,21 +1253,24 @@ mod tests {
     }
 
     #[test]
-    fn precond_cg_with_executor_matches_sequential_matvec_path() {
-        let a = spd_sample(64);
+    fn precond_cg_with_executor_matches_the_plain_csr_operator() {
+        let csr = CsrMatrix::from_dense(&spd_sample(64), 0.0);
         let b = rhs(64);
-        let sequential = PrecondCg::factor_dense(&a, CgOptions::default())
-            .unwrap()
-            .solve(&b)
-            .unwrap();
-        let parallel = PrecondCg::factor_dense(&a, CgOptions::default())
-            .unwrap()
-            .with_executor(Executor::with_workers(3));
-        assert_eq!(parallel.executor().workers(), 3);
-        assert_eq!(
-            parallel.solve(&b).unwrap().as_slice(),
-            sequential.as_slice()
-        );
+        let reference = preconditioned_cg_with(
+            &csr,
+            &b,
+            &JacobiPrecond::from_csr(&csr).unwrap(),
+            &CgOptions::default(),
+        )
+        .unwrap()
+        .solution;
+        for workers in [1, 3] {
+            let parallel = PrecondCg::factor_sparse(&csr, CgOptions::default())
+                .unwrap()
+                .with_executor(Executor::with_workers(workers));
+            assert_eq!(parallel.executor().workers(), workers);
+            assert_eq!(parallel.solve(&b).unwrap().as_slice(), reference.as_slice());
+        }
     }
 
     #[test]

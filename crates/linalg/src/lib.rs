@@ -68,12 +68,12 @@ pub use cholesky::{is_positive_definite, Cholesky};
 pub use eigen::{symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::{Error, Result};
 pub use factor::{
-    BackendKind, CgSystem, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
+    BackendKind, FactorReport, Factorization, PrecondCg, SolverBackend, SolverPolicy,
     SparseStrategy,
 };
 pub use lu::{inverse, solve, solve_matrix, Lu};
 pub use matrix::Matrix;
-pub use ops::{DiagonalOperator, LinearOperator, ShiftedOperator, SumOperator};
+pub use ops::LinearOperator;
 pub use precond::{Ic0, JacobiPrecond, Precond, PrecondKind, Preconditioner};
 pub use sparse::{CsrMatrix, CsrRowIter};
 pub use vector::Vector;

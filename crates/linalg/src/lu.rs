@@ -48,71 +48,25 @@ impl Lu {
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare { shape: a.shape() });
-        }
-        strict::check_finite_matrix("lu.factor input", a)?;
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let scale = a.norm_max().max(f64::MIN_POSITIVE);
-
-        for k in 0..n {
-            // Partial pivoting: bring the largest |entry| in column k to row k.
-            let mut pivot_row = k;
-            let mut pivot_val = lu.get(k, k).abs();
-            for i in (k + 1)..n {
-                let v = lu.get(i, k).abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val <= SINGULARITY_RTOL * scale {
-                return Err(Error::Singular { pivot: k });
-            }
-            if pivot_row != k {
-                lu.swap_rows(k, pivot_row);
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
-            }
-            let pivot = lu.get(k, k);
-            let data = lu.as_mut_slice();
-            let (head, tail) = data.split_at_mut((k + 1) * n);
-            let pivot_row = &head[k * n + k + 1..(k + 1) * n];
-            for row in tail.chunks_mut(n) {
-                let factor = row[k] / pivot;
-                row[k] = factor;
-                if !is_exactly_zero(factor) {
-                    for (value, u) in row[k + 1..].iter_mut().zip(pivot_row) {
-                        *value -= factor * u;
-                    }
-                }
-            }
-        }
-
-        Ok(Lu {
-            factors: lu,
-            perm,
-            perm_sign,
-        })
+        Lu::factor_with(a, &gssl_runtime::Executor::sequential())
     }
 
     /// Factorizes a square matrix with trailing-block updates parallelized
-    /// across `executor`, producing factors **bit-identical** to
-    /// [`Lu::factor`].
+    /// across `executor`, producing factors **bit-identical at every
+    /// worker count**.
     ///
     /// The algorithm is a right-looking blocked elimination: each panel of
-    /// [`Self::PANEL_WIDTH`] columns is factored sequentially (pivot
-    /// searches and row swaps are inherently serial), the panel's rows of
-    /// `U` are finished sequentially, and then every trailing row applies
-    /// the panel's eliminations independently — one worker per row block.
-    /// Bit-identity holds because every element receives exactly the same
-    /// subtractions `a[i][j] -= l[i][k] * u[k][j]` in the same (globally
-    /// increasing `k`) order as the unblocked loop, pivot decisions read
-    /// columns whose values match the unblocked state at decision time,
-    /// and rows are assembled by position rather than completion order.
+    /// [`Self::PANEL_WIDTH`] columns is factored on the calling thread
+    /// (pivot searches and row swaps are inherently serial), the panel's
+    /// rows of `U` are finished there too, and then every trailing row
+    /// applies the panel's eliminations independently — one worker per
+    /// row block. Every element receives exactly the subtractions
+    /// `a[i][j] -= l[i][k] * u[k][j]` of the textbook unblocked
+    /// elimination, in the same (globally increasing `k`) order; pivot
+    /// decisions read columns whose values match the unblocked state at
+    /// decision time, and rows are assembled by position rather than
+    /// completion order. A 1-worker executor runs the same row blocks
+    /// inline.
     ///
     /// # Errors
     ///
@@ -121,9 +75,6 @@ impl Lu {
     /// complexity: O(n^3)
     /// deterministic
     pub fn factor_with(a: &Matrix, executor: &gssl_runtime::Executor) -> Result<Self> {
-        if executor.is_sequential() {
-            return Lu::factor(a);
-        }
         if !a.is_square() {
             return Err(Error::NotSquare { shape: a.shape() });
         }
@@ -452,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_with_is_bit_identical_to_sequential() {
+    fn factor_with_is_bit_identical_across_worker_counts() {
         // Larger than one panel so the blocked path crosses panel
         // boundaries, with enough asymmetry to force pivoting.
         let n = 83;

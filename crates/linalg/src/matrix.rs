@@ -257,38 +257,16 @@ impl Matrix {
     /// complexity: O(n * m * k)
     /// deterministic
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(Error::DimensionMismatch {
-                operation: "matmul",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop contiguous in both operands.
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for (k, &a_ik) in lhs_row.iter().enumerate() {
-                if crate::float::is_exactly_zero(a_ik) {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, r) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a_ik * r;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_with(rhs, &gssl_runtime::Executor::sequential())
     }
 
     /// Matrix product `self * rhs`, row-blocked across `executor`.
     ///
-    /// Each worker computes a contiguous block of whole output rows with
-    /// exactly the i-k-j accumulation order of [`Matrix::matmul`], so the
-    /// result is bit-identical to the sequential product for any worker
-    /// count (each output row is owned by one worker; reassembly is by row
-    /// position, not completion order).
+    /// Each worker computes a contiguous block of whole output rows in
+    /// i-k-j order (the inner loop is contiguous in both operands, and
+    /// exact zeros of `self` are skipped), so the result is bit-identical
+    /// at every worker count: each output row is owned by one worker and
+    /// accumulates in the same order whoever computes it.
     ///
     /// # Errors
     ///
@@ -305,16 +283,16 @@ impl Matrix {
                 right: rhs.shape(),
             });
         }
-        if executor.is_sequential() || self.rows <= 1 || rhs.cols == 0 {
-            return self.matmul(rhs);
-        }
         let cols = rhs.cols;
         let block_rows = self
             .rows
             .div_ceil(executor.workers().saturating_mul(4))
             .max(1);
         let mut out = Matrix::zeros(self.rows, cols);
-        executor.for_each_chunk_mut(out.as_mut_slice(), block_rows * cols, |start, chunk| {
+        // `max(1)`: an empty product has no chunks, but the width must
+        // still be valid.
+        let width = (block_rows * cols).max(1);
+        executor.for_each_chunk_mut(out.as_mut_slice(), width, |start, chunk| {
             let first_row = start / cols;
             for (local, out_row) in chunk.chunks_mut(cols).enumerate() {
                 let lhs_row = self.row(first_row + local);

@@ -1,12 +1,13 @@
 //! The [`LinearOperator`] abstraction: anything that can apply `x ↦ A x`.
 //!
-//! Iterative solvers ([`crate::cg`], [`crate::iterative`]) are written
-//! against this trait so they work identically with dense matrices, sparse
-//! CSR matrices, and composed/shifted operators without materializing them.
+//! The CG loop ([`crate::preconditioned_cg_with`]) is written against
+//! this trait so it runs identically on dense matrices, CSR matrices and
+//! the row-sharded CSR operator of the iterative backends.
 
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 use crate::vector::dot_slices;
+use gssl_runtime::Executor;
 
 /// A square linear operator on `R^dim`.
 ///
@@ -52,106 +53,42 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// The operator `A + shift·I`, applied lazily.
+/// A CSR system whose matvec is row-sharded across an [`Executor`]: the
+/// one operator both iterative backends ([`crate::PrecondCg`] and
+/// [`crate::AmgCg`]) hand to the CG loop.
 ///
-/// Used for the soft criterion's `V + λL` style systems without forming the
-/// sum explicitly.
-#[derive(Debug, Clone)]
-pub struct ShiftedOperator<'a, A: ?Sized> {
-    inner: &'a A,
-    shift: f64,
+/// Each output element is one row sum of [`CsrMatrix::matvec_into`],
+/// computed by exactly one worker with the same operations at every
+/// worker count — so CG sees bit-identical iterates whatever the width,
+/// and a 1-worker executor runs the same row blocks inline.
+pub(crate) struct ShardedCsr<'a> {
+    /// The system matrix (square).
+    pub(crate) matrix: &'a CsrMatrix,
+    /// The executor the row blocks run on.
+    pub(crate) executor: &'a Executor,
 }
 
-impl<'a, A: LinearOperator + ?Sized> ShiftedOperator<'a, A> {
-    /// Wraps `inner` as `inner + shift·I`.
-    pub fn new(inner: &'a A, shift: f64) -> Self {
-        ShiftedOperator { inner, shift }
-    }
-}
-
-impl<A: LinearOperator + ?Sized> LinearOperator for ShiftedOperator<'_, A> {
+impl LinearOperator for ShardedCsr<'_> {
     fn dim(&self) -> usize {
-        self.inner.dim()
+        LinearOperator::dim(self.matrix)
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.inner.apply(x, out);
-        for (o, xi) in out.iter_mut().zip(x) {
-            *o += self.shift * xi;
-        }
-    }
-}
-
-/// A diagonal operator `x ↦ diag(d) x`.
-#[derive(Debug, Clone)]
-pub struct DiagonalOperator {
-    diag: Vec<f64>,
-}
-
-impl DiagonalOperator {
-    /// Creates the operator from its diagonal entries.
-    pub fn new(diag: Vec<f64>) -> Self {
-        DiagonalOperator { diag }
-    }
-
-    /// Borrows the diagonal entries.
-    pub fn diag(&self) -> &[f64] {
-        &self.diag
-    }
-}
-
-impl LinearOperator for DiagonalOperator {
-    fn dim(&self) -> usize {
-        self.diag.len()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.diag.len(), "operand length mismatch");
-        for ((o, xi), d) in out.iter_mut().zip(x).zip(&self.diag) {
-            *o = d * xi;
-        }
-    }
-}
-
-/// The sum `A + c·B` of two operators, applied lazily.
-#[derive(Debug, Clone)]
-pub struct SumOperator<'a, A: ?Sized, B: ?Sized> {
-    a: &'a A,
-    b: &'a B,
-    b_scale: f64,
-}
-
-impl<'a, A, B> SumOperator<'a, A, B>
-where
-    A: LinearOperator + ?Sized,
-    B: LinearOperator + ?Sized,
-{
-    /// Wraps `a + b_scale·b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the operand dimensions differ.
-    pub fn new(a: &'a A, b: &'a B, b_scale: f64) -> Self {
-        assert_eq!(a.dim(), b.dim(), "operator dimension mismatch");
-        SumOperator { a, b, b_scale }
-    }
-}
-
-impl<A, B> LinearOperator for SumOperator<'_, A, B>
-where
-    A: LinearOperator + ?Sized,
-    B: LinearOperator + ?Sized,
-{
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.a.apply(x, out);
-        let mut tmp = vec![0.0; x.len()];
-        self.b.apply(x, &mut tmp);
-        for (o, t) in out.iter_mut().zip(&tmp) {
-            *o += self.b_scale * t;
+        let block = out
+            .len()
+            .div_ceil(self.executor.workers().saturating_mul(4))
+            .max(1);
+        let sharded = self
+            .executor
+            .for_each_chunk_mut(out, block, |start, chunk| {
+                self.matrix.rows_into(start, x, chunk);
+            });
+        if sharded.is_err() {
+            // `LinearOperator::apply` is infallible and the chunk width is
+            // always >= 1, so this arm is unreachable in practice;
+            // recompute on the calling thread rather than panic if it ever
+            // fires.
+            self.matrix.matvec_into(x, out);
         }
     }
 }
@@ -175,35 +112,30 @@ mod tests {
     }
 
     #[test]
-    fn shifted_operator_adds_identity_multiple() {
-        let a = Matrix::zeros(2, 2);
-        let shifted = ShiftedOperator::new(&a, 2.5);
-        assert_eq!(shifted.dim(), 2);
-        assert_eq!(apply_to_vec(&shifted, &[2.0, -4.0]), vec![5.0, -10.0]);
-    }
-
-    #[test]
-    fn diagonal_operator_scales_componentwise() {
-        let d = DiagonalOperator::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(d.diag(), &[1.0, 2.0, 3.0]);
-        assert_eq!(apply_to_vec(&d, &[1.0, 1.0, 1.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn sum_operator_combines() {
-        let a = Matrix::identity(2);
-        let b = Matrix::filled(2, 2, 1.0);
-        let sum = SumOperator::new(&a, &b, 0.5);
-        // (I + 0.5*ones) [1, 1]ᵀ = [1 + 1, 1 + 1]
-        assert_eq!(apply_to_vec(&sum, &[1.0, 1.0]), vec![2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "operator dimension mismatch")]
-    fn sum_operator_rejects_mismatched_dims() {
-        let a = Matrix::identity(2);
-        let b = Matrix::identity(3);
-        let _ = SumOperator::new(&a, &b, 1.0);
+    fn sharded_csr_matches_matvec_at_every_worker_count() {
+        let n = 37;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            triplets.push((i, i, 2.0 + i as f64 * 0.1));
+            if i + 3 < n {
+                triplets.push((i, i + 3, -0.7));
+                triplets.push((i + 3, i, -0.7));
+            }
+        }
+        let csr = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let reference = csr.matvec(&x);
+        for workers in [1, 2, 3, 8] {
+            let executor = Executor::with_workers(workers);
+            let op = ShardedCsr {
+                matrix: &csr,
+                executor: &executor,
+            };
+            assert_eq!(op.dim(), n);
+            let mut out = vec![0.0; n];
+            op.apply(&x, &mut out);
+            assert_eq!(out, reference, "workers = {workers}");
+        }
     }
 
     #[test]

@@ -303,9 +303,23 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "operand length mismatch");
         assert_eq!(out.len(), self.rows, "output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
+        self.rows_into(0, x, out);
+    }
+
+    /// `out[k] = (A x)[first + k]` for the rows `first..first + out.len()`:
+    /// the per-row loop of [`CsrMatrix::matvec_into`], shared with the
+    /// row-sharded CG operator so every worker count runs the same sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row index is out of bounds or `x` is shorter than
+    /// `cols`.
+    /// hot
+    /// complexity: O(nnz)
+    pub(crate) fn rows_into(&self, first: usize, x: &[f64], out: &mut [f64]) {
+        for (local, o) in out.iter_mut().enumerate() {
             let mut sum = 0.0;
-            for (j, v) in self.row_iter(i) {
+            for (j, v) in self.row_iter(first + local) {
                 sum += v * x[j];
             }
             *o = sum;

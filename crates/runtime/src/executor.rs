@@ -1,25 +1,133 @@
 //! The [`Executor`] handle: the one knob every layer of the workspace
-//! takes to choose between the sequential reference path and the scoped
-//! thread pool.
+//! takes to choose how many workers a batch may use, and the one pool API.
 //!
 //! An executor is cheap to clone (it is a worker count, not a thread
-//! handle) and `Sequential` is the `Default`, so existing call sites keep
-//! compiling unchanged while `with_executor(..)` builders opt individual
-//! pipelines into parallelism. Every primitive on this type has a fixed
-//! reduction order, so for a deterministic closure the output is
-//! bit-identical across worker counts — the determinism test suite pins
-//! this with exact `==` comparisons.
+//! handle) and the 1-worker executor is the `Default`, so existing call
+//! sites keep compiling unchanged while `with_executor(..)` builders opt
+//! individual pipelines into parallelism. Every kernel has exactly one
+//! implementation: the 1-worker executor runs the same chunk closures
+//! inline on the calling thread, in ascending chunk order. Every
+//! primitive on this type has a fixed reduction order, so for a
+//! deterministic closure the output is bit-identical across worker
+//! counts — the determinism test suite pins this with exact `==`
+//! comparisons.
+//!
+//! The workloads in this workspace — batch prediction, row-blocked kernel
+//! assembly, trailing-matrix updates, one-class-per-task multiclass fits —
+//! are embarrassingly parallel: every task reads shared immutable state
+//! and writes one independent result. A wider executor owns no threads
+//! between calls: each batch opens a `std::thread::scope`, spawns up to
+//! `workers` threads that claim contiguous chunks of the index space
+//! through one atomic cursor ([`claim`]), and joins them before
+//! returning; results are reassembled in input order on the calling
+//! thread. There are no sleeps, channels or timing assumptions, and no
+//! shutdown protocol.
 
 use crate::error::{Error, Result};
-use crate::pool::{self, ThreadPool};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Chunk width used to shard a batch of `len` items across `workers`
+/// threads: small enough to balance skewed per-item cost, large enough to
+/// amortize the atomic increment. Always at least 1.
+///
+/// Shared with the deterministic interleaving harness in [`crate::sim`] so
+/// the schedules it enumerates exercise exactly the production protocol.
+pub(crate) fn chunk_size(len: usize, workers: usize) -> usize {
+    let workers = workers.max(1);
+    (len / (workers * 4)).max(1)
+}
+
+/// One step of the chunk-claim protocol: atomically advances the shared
+/// cursor by `chunk` and returns the claimed half-open range, or `None`
+/// once the batch is exhausted.
+///
+/// The single `fetch_add` is the *only* synchronization between claimants;
+/// `Ordering::Relaxed` suffices because the read-modify-write total order
+/// alone makes claims disjoint and exhaustive (no other memory is
+/// published through the cursor — results go through a mutex and the
+/// scope join). [`crate::sim::enumerate_schedules`] and
+/// [`crate::sim::enumerate_schedules_with_width`] check this exhaustively
+/// over all bounded interleavings.
+pub(crate) fn claim(cursor: &AtomicUsize, chunk: usize, len: usize) -> Option<(usize, usize)> {
+    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+    if start >= len {
+        return None;
+    }
+    Some((start, (start + chunk).min(len)))
+}
+
+/// The 1-worker path of [`Executor::map`] and [`Executor::map_tasks`]:
+/// the items in input order on the calling thread.
+fn map_sequential<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
+where
+    F: Fn(usize, &T) -> Result<R, E>,
+{
+    items.iter().enumerate().map(|(i, x)| f(i, x)).collect()
+}
+
+/// The 1-worker path of [`Executor::map_chunks`] (after its width
+/// check): walks ranges of `width` in ascending order and concatenates
+/// results, enforcing the same per-chunk length contract as the parallel
+/// path.
+fn map_chunks_sequential<R, E, F>(len: usize, width: usize, f: F) -> Result<Vec<R>, E>
+where
+    E: From<Error>,
+    F: Fn(Range<usize>) -> Result<Vec<R>, E>,
+{
+    let mut out = Vec::with_capacity(len);
+    let mut start = 0;
+    while start < len {
+        let end = (start + width).min(len);
+        let chunk = f(start..end)?;
+        check_chunk_len(start, end, chunk.len())?;
+        out.extend(chunk);
+        start = end;
+    }
+    Ok(out)
+}
+
+/// The 1-worker path of [`Executor::for_each_chunk_mut`] (after its
+/// width check): the chunks in ascending order on the calling thread.
+fn for_each_chunk_mut_sequential<T, F>(data: &mut [T], width: usize, f: F)
+where
+    F: Fn(usize, &mut [T]),
+{
+    for (index, chunk) in data.chunks_mut(width).enumerate() {
+        f(index * width, chunk);
+    }
+}
+
+fn check_width(width: usize) -> Result<(), Error> {
+    if width == 0 {
+        return Err(Error::InvalidConfig {
+            message: "chunk width must be at least one item".to_owned(),
+        });
+    }
+    Ok(())
+}
+
+fn check_chunk_len(start: usize, end: usize, got: usize) -> Result<(), Error> {
+    let expected = end - start;
+    if got != expected {
+        return Err(Error::Internal {
+            message: format!(
+                "map_chunks closure returned {got} results for range {start}..{end} \
+                 (expected {expected})"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// Execution strategy shared by graph assembly, factorization, fitting and
 /// serving.
 ///
-/// `Sequential` runs every batch on the calling thread with zero
-/// synchronization; `Pool` shards batches across the crate's scoped
-/// worker pool. Both produce bit-identical results for deterministic
+/// The representation is private: an executor is a worker count. With
+/// one worker every batch runs on the calling thread with zero
+/// synchronization; with more, batches are sharded across scoped worker
+/// threads. Both produce bit-identical results for deterministic
 /// closures because items are computed independently and reassembled in
 /// input order.
 ///
@@ -34,34 +142,45 @@ use std::ops::Range;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Executor {
-    /// Run everything on the calling thread (the default).
-    #[default]
-    Sequential,
-    /// Shard batches across a scoped thread pool.
-    Pool(ThreadPool),
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Executor {
+    workers: usize,
+}
+
+impl Default for Executor {
+    fn default() -> Self {
+        Executor { workers: 1 }
+    }
 }
 
 impl Executor {
-    /// The sequential executor (same as `Executor::default()`).
+    /// The 1-worker executor (same as `Executor::default()`).
     pub fn sequential() -> Self {
-        Executor::Sequential
+        Executor::default()
     }
 
-    /// An executor backed by a pool of exactly `workers` threads.
+    /// An executor with exactly `workers` worker threads per batch.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `workers == 0`; use
     /// [`Executor::with_workers`] if zero should mean "host parallelism".
     pub fn pool(workers: usize) -> Result<Self> {
-        Ok(Executor::Pool(ThreadPool::new(workers)?))
+        if workers == 0 {
+            return Err(Error::InvalidConfig {
+                message: "thread pool needs at least one worker".to_owned(),
+            });
+        }
+        Ok(Executor { workers })
     }
 
-    /// An executor sized to the host's available parallelism.
+    /// An executor sized to the host's available parallelism (at least
+    /// one worker).
     pub fn with_available_parallelism() -> Self {
-        Executor::Pool(ThreadPool::with_available_parallelism())
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        Executor { workers }
     }
 
     /// Builds an executor from a worker-count knob where `0` means "use
@@ -70,39 +189,34 @@ impl Executor {
     pub fn with_workers(workers: usize) -> Self {
         match workers {
             0 => Executor::with_available_parallelism(),
-            1 => Executor::Sequential,
-            n => match ThreadPool::new(n) {
-                Ok(pool) => Executor::Pool(pool),
-                // Unreachable (n >= 2), but degrade gracefully rather
-                // than panic in a constructor.
-                Err(_) => Executor::Sequential,
-            },
+            n => Executor { workers: n },
         }
     }
 
-    /// Number of worker threads batches may use (`1` for `Sequential`).
+    /// Number of worker threads batches may use (`1` when sequential).
     pub fn workers(&self) -> usize {
-        match self {
-            Executor::Sequential => 1,
-            Executor::Pool(pool) => pool.workers(),
-        }
+        self.workers
     }
 
     /// `true` when batches run on the calling thread only.
     pub fn is_sequential(&self) -> bool {
-        self.workers() == 1
+        self.workers == 1
     }
 
     /// Applies `f(index, &item)` to every item and returns the results in
     /// input order. In parallel, workers claim contiguous chunks of the
     /// index space through one atomic cursor (the protocol [`crate::sim`]
-    /// enumerates) and results are reassembled in input order.
+    /// enumerates), compute each chunk locally, publish it under one short
+    /// lock, and results are reassembled in input order on the calling
+    /// thread. The error type is generic so callers map with their own
+    /// error enum — it only needs a `From<gssl_runtime::Error>` conversion.
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-input-index error from `f`, or an internal
-    /// runtime error (converted into `E`) if the claim protocol loses a
-    /// slot.
+    /// Propagates the lowest-input-index error from `f` (deterministic
+    /// regardless of scheduling; remaining work is still drained and all
+    /// threads joined first), or an internal runtime error (converted
+    /// into `E`) if the claim protocol loses a slot.
     /// deterministic
     pub fn map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
     where
@@ -111,24 +225,21 @@ impl Executor {
         E: Send + From<Error>,
         F: Fn(usize, &T) -> Result<R, E> + Sync,
     {
-        match self {
-            Executor::Sequential => pool::map_sequential(items, f),
-            Executor::Pool(pool) => pool.map(items, f),
-        }
+        self.map_with_chunk(items, chunk_size(items.len(), self.workers), f)
     }
 
     /// Applies `f(index, &item)` to every item with width-1 claims — one
     /// task per claim — and returns the results in input order, under the
     /// same protocol as [`Executor::map`]. Use this instead of [`Executor::map`]
     /// when the batch is small and per-item cost is wildly uneven (one
-    /// factorization per graph shard), so slow tasks never queue behind a
-    /// chunk-mate.
+    /// factorization per graph shard, whose cost scales with the cube of
+    /// the shard size), so slow tasks never queue behind a chunk-mate. The
+    /// claim width only changes who computes an item, never the per-item
+    /// operation order.
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-input-index error from `f`, or an internal
-    /// runtime error (converted into `E`) if the claim protocol loses a
-    /// slot.
+    /// Same contract as [`Executor::map`].
     /// deterministic
     pub fn map_tasks<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
     where
@@ -137,17 +248,71 @@ impl Executor {
         E: Send + From<Error>,
         F: Fn(usize, &T) -> Result<R, E> + Sync,
     {
-        match self {
-            Executor::Sequential => pool::map_sequential(items, f),
-            Executor::Pool(pool) => pool.map_tasks(items, f),
+        self.map_with_chunk(items, 1, f)
+    }
+
+    fn map_with_chunk<T, R, E, F>(&self, items: &[T], chunk: usize, f: F) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send + From<Error>,
+        F: Fn(usize, &T) -> Result<R, E> + Sync,
+    {
+        if self.workers == 1 || items.len() <= 1 {
+            return map_sequential(items, f);
         }
+
+        let cursor = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<Result<R, E>>>> =
+            Mutex::new((0..items.len()).map(|_| None).collect());
+
+        let threads = self.workers.min(items.len());
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let Some((start, end)) = claim(&cursor, chunk, items.len()) else {
+                        break;
+                    };
+                    // Compute the whole chunk locally, then publish under
+                    // one short lock.
+                    let mut local = Vec::with_capacity(end - start);
+                    for (i, item) in items[start..end].iter().enumerate() {
+                        local.push(f(start + i, item));
+                    }
+                    let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                    for (offset, outcome) in local.into_iter().enumerate() {
+                        guard[start + offset] = Some(outcome);
+                    }
+                });
+            }
+        });
+
+        let collected = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut out = Vec::with_capacity(items.len());
+        for (i, slot) in collected.into_iter().enumerate() {
+            match slot {
+                Some(Ok(value)) => out.push(value),
+                Some(Err(e)) => return Err(e),
+                None => {
+                    return Err(E::from(Error::Internal {
+                        message: format!("batch item {i} was never claimed by a worker"),
+                    }))
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Applies `f(start..end)` to `width`-sized ranges of `0..len` and
-    /// concatenates the results in ascending range order. Each closure call
-    /// must return exactly one result per index of its range; the claim
-    /// stride is `width`, the configuration
-    /// [`crate::sim::enumerate_schedules_with_width`] enumerates.
+    /// concatenates the results in ascending range order.
+    ///
+    /// This is the row-blocked work-horse: a caller that produces one
+    /// result per row passes `len = rows` and computes whole row blocks
+    /// per call, amortizing claim overhead over `width` rows. Each closure
+    /// call must return exactly one result per index of its range; the
+    /// claim stride is `width`, the configuration
+    /// [`crate::sim::enumerate_schedules_with_width`] enumerates, and the
+    /// concatenation order is fixed by range start.
     ///
     /// # Errors
     ///
@@ -161,15 +326,62 @@ impl Executor {
         E: Send + From<Error>,
         F: Fn(Range<usize>) -> Result<Vec<R>, E> + Sync,
     {
-        match self {
-            Executor::Sequential => pool::map_chunks_sequential(len, width, f),
-            Executor::Pool(pool) => pool.map_chunks(len, width, f),
+        check_width(width)?;
+        let nchunks = len.div_ceil(width);
+        if self.workers == 1 || nchunks <= 1 {
+            return map_chunks_sequential(len, width, f);
         }
+
+        let cursor = AtomicUsize::new(0);
+        // One slot per range; the cursor starts at zero and advances by
+        // exactly `width`, so `start / width` is an exact range index.
+        let slots: Mutex<Vec<Option<Result<Vec<R>, E>>>> =
+            Mutex::new((0..nchunks).map(|_| None).collect());
+
+        let threads = self.workers.min(nchunks);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let Some((start, end)) = claim(&cursor, width, len) else {
+                        break;
+                    };
+                    let outcome = f(start..end);
+                    let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                    guard[start / width] = Some(outcome);
+                });
+            }
+        });
+
+        let collected = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut out = Vec::with_capacity(len);
+        for (index, slot) in collected.into_iter().enumerate() {
+            let start = index * width;
+            let end = (start + width).min(len);
+            match slot {
+                Some(Ok(chunk)) => {
+                    check_chunk_len(start, end, chunk.len())?;
+                    out.extend(chunk);
+                }
+                Some(Err(e)) => return Err(e),
+                None => {
+                    return Err(E::from(Error::Internal {
+                        message: format!("range {start}..{end} was never claimed by a worker"),
+                    }))
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Runs `f(start_index, chunk)` over disjoint `width`-sized mutable
     /// chunks of `data`, in parallel under the same chunk-claim protocol
     /// as [`Executor::map_chunks`].
+    ///
+    /// Chunks are carved with `chunks_mut`, so disjointness is enforced by
+    /// the borrow checker; workers pop pre-split jobs from a shared stack
+    /// under a short lock and run `f` outside it. `f` is infallible — this
+    /// primitive backs hot in-place kernels (matvec rows, trailing panel
+    /// updates, affinity rows) whose per-element math cannot fail.
     ///
     /// # Errors
     ///
@@ -180,10 +392,40 @@ impl Executor {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        match self {
-            Executor::Sequential => pool::for_each_chunk_mut_sequential(data, width, f),
-            Executor::Pool(pool) => pool.for_each_chunk_mut(data, width, f),
+        check_width(width)?;
+        let nchunks = data.len().div_ceil(width);
+        if self.workers == 1 || nchunks <= 1 {
+            for_each_chunk_mut_sequential(data, width, f);
+            return Ok(());
         }
+
+        // Pre-split jobs; reversed so `pop()` hands them out in ascending
+        // start order (not required for determinism — `f` sees disjoint
+        // chunks — but it keeps first-touch locality predictable).
+        let mut jobs: Vec<(usize, &mut [T])> = data
+            .chunks_mut(width)
+            .enumerate()
+            .map(|(index, chunk)| (index * width, chunk))
+            .collect();
+        jobs.reverse();
+        let jobs = Mutex::new(jobs);
+
+        let threads = self.workers.min(nchunks);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let job = {
+                        let mut guard = jobs.lock().unwrap_or_else(PoisonError::into_inner);
+                        guard.pop()
+                    };
+                    let Some((start, chunk)) = job else {
+                        break;
+                    };
+                    f(start, chunk);
+                });
+            }
+        });
+        Ok(())
     }
 }
 
@@ -193,7 +435,7 @@ mod tests {
 
     #[test]
     fn default_is_sequential() {
-        assert_eq!(Executor::default(), Executor::Sequential);
+        assert_eq!(Executor::default(), Executor::sequential());
         assert!(Executor::default().is_sequential());
         assert_eq!(Executor::default().workers(), 1);
     }
@@ -209,7 +451,7 @@ mod tests {
     #[test]
     fn with_workers_knob_conventions() {
         assert!(Executor::with_workers(0).workers() >= 1);
-        assert_eq!(Executor::with_workers(1), Executor::Sequential);
+        assert_eq!(Executor::with_workers(1), Executor::sequential());
         assert_eq!(Executor::with_workers(4).workers(), 4);
         assert!(!Executor::with_workers(4).is_sequential());
     }
@@ -218,23 +460,9 @@ mod tests {
     fn map_agrees_across_executors() {
         let items: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
         let f = |i: usize, x: &f64| Ok::<f64, Error>(x.sin() + i as f64);
-        let sequential = Executor::Sequential.map(&items, f).unwrap();
+        let sequential = Executor::sequential().map(&items, f).unwrap();
         for workers in [2, 4] {
             let parallel = Executor::pool(workers).unwrap().map(&items, f).unwrap();
-            assert_eq!(sequential, parallel, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn map_tasks_agrees_across_executors() {
-        let items: Vec<f64> = (0..23).map(|i| i as f64 * 0.9).collect();
-        let f = |i: usize, x: &f64| Ok::<f64, Error>(x.cos() * i as f64);
-        let sequential = Executor::Sequential.map_tasks(&items, f).unwrap();
-        for workers in [2, 4] {
-            let parallel = Executor::pool(workers)
-                .unwrap()
-                .map_tasks(&items, f)
-                .unwrap();
             assert_eq!(sequential, parallel, "workers = {workers}");
         }
     }
@@ -243,7 +471,7 @@ mod tests {
     fn map_chunks_agrees_across_executors() {
         let f =
             |range: Range<usize>| Ok::<Vec<f64>, Error>(range.map(|i| (i as f64).sqrt()).collect());
-        let sequential = Executor::Sequential.map_chunks(151, 8, f).unwrap();
+        let sequential = Executor::sequential().map_chunks(151, 8, f).unwrap();
         for workers in [2, 4] {
             let parallel = Executor::pool(workers)
                 .unwrap()
@@ -254,25 +482,204 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_mut_agrees_across_executors() {
-        let fill = |executor: &Executor| {
-            let mut data = vec![0.0f64; 77];
-            executor
-                .for_each_chunk_mut(&mut data, 9, |start, chunk| {
-                    for (offset, value) in chunk.iter_mut().enumerate() {
-                        *value = ((start + offset) as f64).cos();
-                    }
-                })
+    fn available_parallelism_pool_has_workers() {
+        assert!(Executor::with_available_parallelism().workers() >= 1);
+    }
+
+    #[test]
+    fn preserves_input_order() {
+        for workers in [1, 2, 3, 8] {
+            let pool = Executor::pool(workers).unwrap();
+            let items: Vec<usize> = (0..257).collect();
+            let out = pool
+                .map(&items, |i, &x| Ok::<usize, Error>(i * 1000 + x))
                 .unwrap();
-            data
-        };
-        let sequential = fill(&Executor::Sequential);
-        for workers in [2, 4] {
+            let expected: Vec<usize> = (0..257).map(|i| i * 1000 + i).collect();
+            assert_eq!(out, expected, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn lowest_index_error_wins() {
+        let pool = Executor::pool(4).unwrap();
+        let items: Vec<usize> = (0..100).collect();
+        let result: Result<Vec<usize>> = pool.map(&items, |i, &x| {
+            if i == 13 || i == 77 {
+                Err(Error::Internal {
+                    message: format!("boom at {i}"),
+                })
+            } else {
+                Ok(x)
+            }
+        });
+        assert_eq!(
+            result,
+            Err(Error::Internal {
+                message: "boom at 13".to_owned()
+            })
+        );
+    }
+
+    #[test]
+    fn empty_and_singleton_batches() {
+        let pool = Executor::pool(4).unwrap();
+        let empty: Vec<usize> = Vec::new();
+        assert_eq!(
+            pool.map(&empty, |_, &x| Ok::<usize, Error>(x)).unwrap(),
+            Vec::<usize>::new()
+        );
+        assert_eq!(
+            pool.map(&[42usize], |_, &x| Ok::<usize, Error>(x)).unwrap(),
+            vec![42]
+        );
+    }
+
+    #[test]
+    fn map_tasks_matches_map_bitwise() {
+        let items: Vec<f64> = (0..37).map(|i| i as f64 * 1.7).collect();
+        let f = |i: usize, x: &f64| Ok::<f64, Error>(x.sin() + (i as f64).sqrt());
+        let reference = Executor::pool(1).unwrap().map(&items, f).unwrap();
+        for workers in [1, 2, 3, 8] {
+            let pool = Executor::pool(workers).unwrap();
+            assert_eq!(pool.map_tasks(&items, f).unwrap(), reference);
+        }
+    }
+
+    #[test]
+    fn map_tasks_lowest_index_error_wins() {
+        let pool = Executor::pool(4).unwrap();
+        let items: Vec<usize> = (0..16).collect();
+        let result: Result<Vec<usize>> = pool.map_tasks(&items, |i, &x| {
+            if i % 5 == 2 {
+                Err(Error::Internal {
+                    message: format!("boom at {i}"),
+                })
+            } else {
+                Ok(x)
+            }
+        });
+        assert_eq!(
+            result,
+            Err(Error::Internal {
+                message: "boom at 2".to_owned()
+            })
+        );
+    }
+
+    #[test]
+    fn map_chunks_concatenates_in_range_order() {
+        for workers in [1, 2, 3, 8] {
+            for width in [1, 3, 7, 64] {
+                let pool = Executor::pool(workers).unwrap();
+                let out = pool
+                    .map_chunks(100, width, |range| {
+                        Ok::<Vec<usize>, Error>(range.map(|i| i * 2).collect())
+                    })
+                    .unwrap();
+                let expected: Vec<usize> = (0..100).map(|i| i * 2).collect();
+                assert_eq!(out, expected, "workers = {workers}, width = {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_rejects_zero_width() {
+        let pool = Executor::pool(2).unwrap();
+        let result: Result<Vec<usize>> = pool.map_chunks(10, 0, |range| Ok(range.collect()));
+        assert!(matches!(result, Err(Error::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn map_chunks_lowest_range_error_wins() {
+        for workers in [1, 4] {
+            let pool = Executor::pool(workers).unwrap();
+            let result: Result<Vec<usize>> = pool.map_chunks(50, 5, |range| {
+                if range.start >= 20 {
+                    Err(Error::Internal {
+                        message: format!("chunk {} failed", range.start),
+                    })
+                } else {
+                    Ok(range.collect())
+                }
+            });
             assert_eq!(
-                sequential,
-                fill(&Executor::pool(workers).unwrap()),
+                result,
+                Err(Error::Internal {
+                    message: "chunk 20 failed".to_owned()
+                }),
                 "workers = {workers}"
             );
+        }
+    }
+
+    #[test]
+    fn map_chunks_detects_length_contract_violation() {
+        for workers in [1, 4] {
+            let pool = Executor::pool(workers).unwrap();
+            let result: Result<Vec<usize>> = pool.map_chunks(20, 4, |range| {
+                // Drop one element from the second chunk.
+                let drop_one = usize::from(range.start == 4);
+                Ok(range.skip(drop_one).collect())
+            });
+            assert!(
+                matches!(result, Err(Error::Internal { .. })),
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_chunks_empty_input() {
+        let pool = Executor::pool(4).unwrap();
+        let out: Vec<usize> = pool
+            .map_chunks(0, 8, |range| Ok::<Vec<usize>, Error>(range.collect()))
+            .unwrap();
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn for_each_chunk_mut_matches_sequential() {
+        let fill = |pool: &Executor| {
+            let mut data = vec![0.0f64; 203];
+            pool.for_each_chunk_mut(&mut data, 16, |start, chunk| {
+                for (offset, value) in chunk.iter_mut().enumerate() {
+                    let i = (start + offset) as f64;
+                    *value = i.sin() * (i + 1.0).sqrt();
+                }
+            })
+            .unwrap();
+            data
+        };
+        let sequential = fill(&Executor::pool(1).unwrap());
+        for workers in [2, 3, 8] {
+            let parallel = fill(&Executor::pool(workers).unwrap());
+            assert_eq!(sequential, parallel, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn for_each_chunk_mut_rejects_zero_width() {
+        let pool = Executor::pool(2).unwrap();
+        let mut data = vec![0u8; 4];
+        assert!(matches!(
+            pool.for_each_chunk_mut(&mut data, 0, |_, _| {}),
+            Err(Error::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn for_each_chunk_mut_covers_every_element_once() {
+        for workers in [1, 2, 5] {
+            let pool = Executor::pool(workers).unwrap();
+            let mut data = vec![0usize; 97];
+            pool.for_each_chunk_mut(&mut data, 10, |start, chunk| {
+                for (offset, value) in chunk.iter_mut().enumerate() {
+                    *value += start + offset + 1;
+                }
+            })
+            .unwrap();
+            let expected: Vec<usize> = (1..=97).collect();
+            assert_eq!(data, expected, "workers = {workers}");
         }
     }
 }

@@ -14,13 +14,14 @@
 //!    **bit-identical** across worker counts — `==`, not epsilon.
 //! 2. **One proof.** The [`sim`] module exhaustively enumerates every
 //!    bounded interleaving of the claim/publish protocol (a mini-loom),
-//!    which is what justifies the single `Ordering::Relaxed` atomic in
-//!    the crate-private worker pool behind [`Executor::Pool`].
-//! 3. **One knob.** The [`Executor`] handle ([`Executor::Sequential`] by
-//!    default, [`Executor::Pool`] to opt in) threads through every layer
-//!    via `with_executor(..)` builders, so call sites pick a worker count
-//!    once and the whole pipeline — assembly, factorization, fit, serve —
-//!    honours it.
+//!    which is what justifies the single `Ordering::Relaxed` atomic
+//!    behind [`Executor`]'s wider widths.
+//! 3. **One knob.** The opaque [`Executor`] handle (one worker by
+//!    default, [`Executor::pool`] or [`Executor::with_workers`] to opt
+//!    in) threads through every layer via `with_executor(..)` builders,
+//!    so call sites pick a worker count once and the whole pipeline —
+//!    assembly, factorization, fit, serve — honours it. Each kernel has
+//!    one implementation: one worker runs the same chunk closures inline.
 //!
 //! The crate is dependency-free (`std::thread` only) and spawns no
 //! long-lived threads: every batch opens a `std::thread::scope` and joins
@@ -29,13 +30,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-/// Error and result types shared by the executor and pool.
+/// Error and result types of the executor.
 pub mod error;
-/// The [`Executor`] handle: sequential by default, pooled on request.
+/// The [`Executor`] handle and its chunk-claim protocol: one worker by
+/// default, scoped worker threads on request.
 pub mod executor;
-/// The scoped worker pool and its chunk-claim protocol (reached through
-/// [`Executor`] only).
-mod pool;
 /// Exhaustive interleaving enumeration for the claim protocol (mini-loom).
 pub mod sim;
 

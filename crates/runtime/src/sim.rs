@@ -1,7 +1,7 @@
 //! Deterministic interleaving harness for the chunk-claim protocol of
-//! the worker pool behind [`crate::Executor::Pool`] (mini-loom).
+//! the scoped workers behind [`crate::Executor`] (mini-loom).
 //!
-//! `ThreadPool::map` and `ThreadPool::map_chunks` coordinate their workers
+//! `Executor::map` and `Executor::map_chunks` coordinate their workers
 //! through exactly two shared objects: an atomic cursor advanced by one
 //! `fetch_add` per claim, and a mutex-protected slot vector written once
 //! per claimed chunk. Every observable behaviour of the protocol is
@@ -9,8 +9,8 @@
 //! a bounded batch the set of such sequences is finite.
 //! [`enumerate_schedules`] walks **all** of them by depth-first search
 //! with backtracking, executing the production claim code
-//! ([`crate::pool::claim`] at the width chosen by
-//! [`crate::pool::chunk_size`]) at every claim step, and checks three
+//! ([`crate::executor::claim`] at the width chosen by
+//! [`crate::executor::chunk_size`]) at every claim step, and checks three
 //! safety properties in every schedule:
 //!
 //! * **disjointness** — no item is ever claimed by two workers;
@@ -34,7 +34,7 @@
 //! `tests/interleavings.rs` runs it exhaustively over a grid of batch
 //! shapes.
 
-use crate::pool;
+use crate::executor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of an exhaustive enumeration: how much of the schedule space
@@ -100,7 +100,7 @@ struct Sim {
 
 impl Sim {
     fn new(len: usize, workers: usize) -> Self {
-        Sim::with_width(len, workers, pool::chunk_size(len, workers))
+        Sim::with_width(len, workers, executor::chunk_size(len, workers))
     }
 
     fn with_width(len: usize, workers: usize, width: usize) -> Self {
@@ -124,7 +124,7 @@ impl Sim {
             Worker::Done => Err(format!("worker {w} stepped after termination")),
             Worker::Claiming => {
                 let cursor_before = self.cursor.load(Ordering::SeqCst);
-                match pool::claim(&self.cursor, self.chunk, self.len) {
+                match executor::claim(&self.cursor, self.chunk, self.len) {
                     None => {
                         self.workers[w] = Worker::Done;
                         Ok(Undo::Exhausted {

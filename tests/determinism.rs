@@ -17,9 +17,7 @@ use gssl::cmn::argsort_scores;
 use gssl::{HardCriterion, OneVsRest, Problem, SoftCriterion};
 use gssl_graph::{
     affinity::{
-        affinity_from_distances, affinity_from_distances_with, affinity_matrix,
-        affinity_matrix_with, affinity_with_rule, pairwise_squared_distances,
-        pairwise_squared_distances_with,
+        affinity_matrix, affinity_matrix_with, affinity_with_rule, pairwise_squared_distances,
     },
     component_partition, epsilon_graph, epsilon_graph_with, knn_graph, knn_graph_with, Bandwidth,
     Kernel, KernelGraph, Symmetrization,
@@ -28,8 +26,8 @@ use gssl_index::{
     k_nearest_batch, self_k_nearest_batch, self_within_radius_batch, NeighborSearch, SpatialIndex,
 };
 use gssl_linalg::{
-    AmgCg, AmgOptions, CgOptions, Cholesky, CsrMatrix, Factorization, Lu, Matrix, PrecondCg,
-    PrecondKind, SolverPolicy, Vector,
+    float::is_exactly_zero, preconditioned_cg_with, AmgCg, AmgOptions, CgOptions, Cholesky,
+    CsrMatrix, Factorization, Lu, Matrix, Precond, PrecondCg, PrecondKind, SolverPolicy, Vector,
 };
 use gssl_runtime::{sim, Executor};
 use gssl_serve::{EngineConfig, QueryPoint, ServingEngine, ShardPlan, ShardedEngine};
@@ -106,9 +104,9 @@ fn spatial_index_build_and_batched_queries_are_bit_identical() {
     let index = SpatialIndex::build(&pts).expect("index build");
     let rebuilt = SpatialIndex::build(&pts).expect("index rebuild");
     let reference =
-        k_nearest_batch(&index, &queries, 5, &Executor::Sequential).expect("sequential batch");
+        k_nearest_batch(&index, &queries, 5, &Executor::sequential()).expect("sequential batch");
     let twin =
-        k_nearest_batch(&rebuilt, &queries, 5, &Executor::Sequential).expect("rebuilt batch");
+        k_nearest_batch(&rebuilt, &queries, 5, &Executor::sequential()).expect("rebuilt batch");
     for workers in [1, 2, 4, 8] {
         let executor = Executor::with_workers(workers);
         let parallel = k_nearest_batch(&index, &queries, 5, &executor).expect("parallel batch");
@@ -262,24 +260,25 @@ fn predict_batch_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn distance_and_affinity_pipeline_is_bit_identical_across_worker_counts() {
+    // Reference: the pairwise squared-distance matrix, then the kernel
+    // elementwise through the validating `Kernel::weight`.
     let pts = points(57, 4);
-    let d2 = pairwise_squared_distances(&pts).expect("sequential distances");
-    let w = affinity_from_distances(&d2, Kernel::Gaussian, 0.7).expect("sequential affinity");
-    for workers in WORKER_COUNTS {
-        let executor = Executor::with_workers(workers);
-        let d2_par = pairwise_squared_distances_with(&pts, &executor).expect("parallel distances");
-        assert_eq!(
-            d2.as_slice(),
-            d2_par.as_slice(),
-            "pairwise distances diverged at {workers} workers"
-        );
-        let w_par = affinity_from_distances_with(&d2, Kernel::Gaussian, 0.7, &executor)
-            .expect("parallel affinity");
-        assert_eq!(
-            w.as_slice(),
-            w_par.as_slice(),
-            "affinity-from-distances diverged at {workers} workers"
-        );
+    let d2 = pairwise_squared_distances(&pts).expect("distances");
+    for kernel in [Kernel::Gaussian, Kernel::Epanechnikov] {
+        let reference: Vec<u64> = d2
+            .as_slice()
+            .iter()
+            .map(|&d| kernel.weight(d, 0.7).expect("weight").to_bits())
+            .collect();
+        for workers in [1, 2, 4, 8] {
+            let executor = Executor::with_workers(workers);
+            let w = affinity_matrix_with(&pts, kernel, 0.7, &executor).expect("affinity");
+            let bits: Vec<u64> = w.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                reference, bits,
+                "{kernel} affinity diverged from the distance reference at {workers} workers"
+            );
+        }
     }
     // The bandwidth-rule front end is a pure function of its inputs: two
     // invocations agree bitwise, and the matrix equals a direct assembly
@@ -360,8 +359,8 @@ fn single_query_search_is_deterministic_and_matches_self_batches() {
     // The self-join batches reassemble those per-point queries in input
     // order at every worker count.
     let knn_ref =
-        self_k_nearest_batch(&index, 5, &Executor::Sequential).expect("sequential self-knn");
-    let radius_ref = self_within_radius_batch(&index, 0.8, &Executor::Sequential)
+        self_k_nearest_batch(&index, 5, &Executor::sequential()).expect("sequential self-knn");
+    let radius_ref = self_within_radius_batch(&index, 0.8, &Executor::sequential())
         .expect("sequential self-radius");
     for (i, neighbors) in knn_ref.iter().enumerate() {
         let single = index
@@ -388,20 +387,123 @@ fn single_query_search_is_deterministic_and_matches_self_batches() {
     }
 }
 
+/// Bit patterns of a matrix, for exact comparisons with readable output.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Test reference: the plain i-k-j product, skipping exact zeros of `a`.
+fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (k, &a_ik) in a.row(i).iter().enumerate() {
+            if is_exactly_zero(a_ik) {
+                continue;
+            }
+            for (o, r) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o += a_ik * r;
+            }
+        }
+    }
+    out
+}
+
+/// Test reference: the textbook left-looking Cholesky loop.
+fn reference_cholesky(a: &Matrix) -> Matrix {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut diag = a.get(j, j);
+        for &v in &l.row(j)[..j] {
+            diag -= v * v;
+        }
+        assert!(diag > 0.0, "reference system must be SPD");
+        let diag_sqrt = diag.sqrt();
+        l.set(j, j, diag_sqrt);
+        for i in (j + 1)..n {
+            let mut sum = a.get(i, j);
+            for (lik, ljk) in l.row(i)[..j].iter().zip(&l.row(j)[..j]) {
+                sum -= lik * ljk;
+            }
+            l.set(i, j, sum / diag_sqrt);
+        }
+    }
+    l
+}
+
+/// Test reference: the unblocked LU elimination with partial pivoting,
+/// returning the packed factors and the row permutation.
+fn reference_lu(a: &Matrix) -> (Matrix, Vec<usize>) {
+    let n = a.rows();
+    let mut lu = a.clone();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut pivot_val = lu.get(k, k).abs();
+        for i in (k + 1)..n {
+            let v = lu.get(i, k).abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_row != k {
+            lu.swap_rows(k, pivot_row);
+            perm.swap(k, pivot_row);
+        }
+        let pivot = lu.get(k, k);
+        let pivot_tail: Vec<f64> = lu.row(k)[k + 1..].to_vec();
+        for i in (k + 1)..n {
+            let row = lu.row_mut(i);
+            let factor = row[k] / pivot;
+            row[k] = factor;
+            if !is_exactly_zero(factor) {
+                for (value, u) in row[k + 1..].iter_mut().zip(&pivot_tail) {
+                    *value -= factor * u;
+                }
+            }
+        }
+    }
+    (lu, perm)
+}
+
 #[test]
 fn matmul_is_bit_identical_across_worker_counts() {
-    let a = points(33, 21);
+    // Wide enough for several row blocks per worker, with exact zeros in
+    // the left operand so the skip is exercised too.
+    let mut a = points(45, 21);
+    for i in 0..45 {
+        a.set(i, (i * 7) % 21, 0.0);
+    }
     let b = points(21, 17);
-    let reference = a.matmul(&b).expect("sequential matmul");
-    for workers in WORKER_COUNTS {
+    let reference = bits(&reference_matmul(&a, &b));
+    assert_eq!(bits(&a.matmul(&b).expect("matmul")), reference);
+    for workers in [1, 2, 4, 8] {
         let executor = Executor::with_workers(workers);
         let parallel = a.matmul_with(&b, &executor).expect("parallel matmul");
         assert_eq!(
-            reference.as_slice(),
-            parallel.as_slice(),
+            reference,
+            bits(&parallel),
             "matmul diverged at {workers} workers"
         );
     }
+    // Empty and one-row shapes keep their results.
+    let executor = Executor::with_workers(2);
+    let one = points(1, 21);
+    assert_eq!(
+        bits(&one.matmul_with(&b, &executor).expect("one row")),
+        bits(&reference_matmul(&one, &b))
+    );
+    let no_cols = Matrix::zeros(21, 0);
+    assert_eq!(
+        a.matmul_with(&no_cols, &executor).expect("no cols").shape(),
+        (45, 0)
+    );
+    let no_rows = Matrix::zeros(0, 21);
+    assert_eq!(
+        no_rows.matmul_with(&b, &executor).expect("no rows").shape(),
+        (0, 17)
+    );
 }
 
 /// A symmetric positive-definite system (`I + L` for an affinity graph's
@@ -424,16 +526,28 @@ fn spd_system(n: usize) -> (Matrix, Vector) {
 
 #[test]
 fn dense_factorizations_are_bit_identical_across_worker_counts() {
-    let (a, rhs) = spd_system(28);
-    let chol_ref = Cholesky::factor(&a).expect("sequential cholesky");
-    let lu_ref = Lu::factor(&a).expect("sequential lu");
-    let chol_solution = chol_ref.solve(&rhs).expect("cholesky solve");
-    for workers in WORKER_COUNTS {
+    // More than two 32-wide panels, so the blocked kernels cross panel
+    // boundaries and run trailing updates.
+    let (a, rhs) = spd_system(75);
+    let chol_ref = bits(&reference_cholesky(&a));
+    let (lu_ref, perm_ref) = reference_lu(&a);
+    let lu_ref = bits(&lu_ref);
+    let chol_solution = Cholesky::factor(&a)
+        .and_then(|f| f.solve(&rhs))
+        .expect("cholesky solve");
+    assert_eq!(
+        bits(Cholesky::factor(&a).expect("cholesky").lower()),
+        chol_ref
+    );
+    let lu = Lu::factor(&a).expect("lu");
+    assert_eq!(bits(lu.factors()), lu_ref);
+    assert_eq!(lu.perm(), perm_ref.as_slice());
+    for workers in [1, 2, 4, 8] {
         let executor = Executor::with_workers(workers);
         let chol = Cholesky::factor_with(&a, &executor).expect("parallel cholesky");
         assert_eq!(
-            chol_ref.lower().as_slice(),
-            chol.lower().as_slice(),
+            chol_ref,
+            bits(chol.lower()),
             "Cholesky factor diverged at {workers} workers"
         );
         assert_eq!(
@@ -443,14 +557,60 @@ fn dense_factorizations_are_bit_identical_across_worker_counts() {
         );
         let lu = Lu::factor_with(&a, &executor).expect("parallel lu");
         assert_eq!(
-            lu_ref.factors().as_slice(),
-            lu.factors().as_slice(),
+            lu_ref,
+            bits(lu.factors()),
             "LU factors diverged at {workers} workers"
         );
         assert_eq!(
-            lu_ref.perm(),
+            perm_ref.as_slice(),
             lu.perm(),
             "LU pivots diverged at {workers} workers"
+        );
+    }
+    // An asymmetric system forces row swaps in the LU reference too.
+    let asym = Matrix::from_fn(70, 70, |i, j| {
+        let v = (((i * 37 + j * 11) as f64) * 0.29).sin();
+        if i == j {
+            v + 0.5
+        } else {
+            v
+        }
+    });
+    let (asym_ref, asym_perm) = reference_lu(&asym);
+    assert_ne!(asym_perm, (0..70).collect::<Vec<_>>(), "pivoting exercised");
+    for workers in [1, 2, 4, 8] {
+        let lu = Lu::factor_with(&asym, &Executor::with_workers(workers)).expect("lu");
+        assert_eq!(bits(&asym_ref), bits(lu.factors()), "{workers} workers");
+        assert_eq!(asym_perm.as_slice(), lu.perm(), "{workers} workers");
+    }
+    // Empty and one-row systems keep their results, never a config error.
+    for workers in [1, 2] {
+        let executor = Executor::with_workers(workers);
+        let empty = Matrix::zeros(0, 0);
+        assert_eq!(
+            Cholesky::factor_with(&empty, &executor)
+                .expect("empty cholesky")
+                .dim(),
+            0
+        );
+        assert_eq!(
+            Lu::factor_with(&empty, &executor).expect("empty lu").dim(),
+            0
+        );
+        let one = Matrix::from_rows(&[&[4.0]]).expect("1x1");
+        assert_eq!(
+            Cholesky::factor_with(&one, &executor)
+                .expect("1x1 cholesky")
+                .lower()
+                .as_slice(),
+            &[2.0]
+        );
+        assert_eq!(
+            Lu::factor_with(&one, &executor)
+                .expect("1x1 lu")
+                .factors()
+                .as_slice(),
+            &[4.0]
         );
     }
 }
@@ -507,16 +667,17 @@ fn solver_policy_backends_are_bit_identical_across_worker_counts() {
 #[test]
 fn preconditioned_cg_backends_are_bit_identical_across_worker_counts() {
     // Every preconditioner family behind PrecondCg shards only the CG
-    // matvecs; the preconditioner application stays sequential. The solve
-    // must therefore be byte-for-byte the sequential result at any worker
-    // count, and two independent factorizations must agree bitwise.
+    // matvecs, each row summed exactly as `CsrMatrix::matvec_into` sums
+    // it; the preconditioner application stays on the calling thread. The
+    // solve must therefore be byte-for-byte the CG loop on the plain CSR
+    // operator at any worker count.
     let (a, rhs) = spd_system(48);
     let sparse = CsrMatrix::from_dense(&a, 0.0);
     for kind in [PrecondKind::Jacobi, PrecondKind::Ic0] {
-        let reference = PrecondCg::factor_sparse_with(&sparse, kind.clone(), CgOptions::default())
-            .expect("sequential factor")
-            .solve(&rhs)
-            .expect("sequential solve");
+        let precond = Precond::build(&sparse, &kind).expect("preconditioner");
+        let reference = preconditioned_cg_with(&sparse, &rhs, &precond, &CgOptions::default())
+            .expect("plain-operator solve")
+            .solution;
         for workers in [1, 2, 4, 8] {
             let parallel =
                 PrecondCg::factor_sparse_with(&sparse, kind.clone(), CgOptions::default())
@@ -568,13 +729,13 @@ fn amg_hierarchy_and_solves_are_bit_identical_across_worker_counts() {
 #[test]
 fn executor_primitives_are_bit_identical_across_worker_counts() {
     let data: Vec<f64> = (0..97).map(|i| (i as f64) * 0.37).collect();
-    let map_ref = Executor::Sequential
+    let map_ref = Executor::sequential()
         .map(&data, |i, x| {
             Ok::<f64, gssl_runtime::Error>(x.sin() * ((i + 1) as f64).sqrt())
         })
         .expect("sequential map");
     let mut mut_ref = data.clone();
-    Executor::Sequential
+    Executor::sequential()
         .for_each_chunk_mut(&mut mut_ref, 8, |start, chunk| {
             for (k, x) in chunk.iter_mut().enumerate() {
                 *x = x.cos() + ((start + k) as f64) * 0.01;
@@ -1064,7 +1225,7 @@ fn system_csr_builders_are_bit_identical_across_worker_counts() {
     };
     // The triplet-route reference for these builders is pinned at 5 000
     // points in tests/sparse_scale.rs; here they must repeat bit for bit.
-    let (hard, soft) = build(&Executor::Sequential);
+    let (hard, soft) = build(&Executor::sequential());
     for workers in WORKER_COUNTS {
         let (hard_w, soft_w) = build(&Executor::with_workers(workers));
         assert_eq!(
@@ -1126,11 +1287,6 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         ),
         (
             "crates/graph/src/affinity.rs",
-            "pairwise_squared_distances_with",
-            "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
             "affinity_matrix",
             "kernel_assembly_is_bit_identical_across_worker_counts",
         ),
@@ -1138,16 +1294,6 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
             "crates/graph/src/affinity.rs",
             "affinity_matrix_with",
             "kernel_assembly_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
-            "affinity_from_distances",
-            "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
-        ),
-        (
-            "crates/graph/src/affinity.rs",
-            "affinity_from_distances_with",
-            "distance_and_affinity_pipeline_is_bit_identical_across_worker_counts",
         ),
         (
             "crates/graph/src/affinity.rs",
@@ -1450,7 +1596,7 @@ fn every_deterministic_entry_point_has_a_bitwise_covering_test() {
         stale.is_empty(),
         "coverage rows whose `/// deterministic` marker is gone: {stale:?}"
     );
-    assert_eq!(annotated.len(), 61, "inventory drifted from the pinned 61");
+    assert_eq!(annotated.len(), 58, "inventory drifted from the pinned 58");
 
     // Every covering test named above must actually exist in this file.
     let this_file = std::fs::read_to_string(root.join("tests").join("determinism.rs"))
